@@ -48,12 +48,6 @@ func mask(v uint64, w int) uint64 {
 	return v & ((1 << uint(w)) - 1)
 }
 
-// slotWidths returns the operand widths of an operation's two slots.
-func slotWidths(spec model.OpSpec) [2]int { return spec.OperandWidths() }
-
-// resultWidth returns the width of an operation's result.
-func resultWidth(spec model.OpSpec) int { return spec.ResultWidth() }
-
 // words instantiates model.Arith over uint64 machine words: Trunc is the
 // package's mask, the operators are the native wrapping ones.
 type words struct{}
@@ -74,7 +68,7 @@ func compute(spec model.OpSpec, a, b uint64) uint64 {
 // predecessors (in edge order) and primary inputs.
 func operands(d *dfg.Graph, o dfg.OpID, results []uint64, in Inputs) [2]uint64 {
 	spec := d.Op(o).Spec
-	widths := slotWidths(spec)
+	widths := spec.OperandWidths()
 	var vals [2]uint64
 	preds := d.Pred(o)
 	ext := in[o]

@@ -43,7 +43,7 @@ func WriteVCD(w io.Writer, d *dfg.Graph, lib *model.Library, dp *datapath.Datapa
 			name = fmt.Sprintf("op%d", o)
 		}
 		fmt.Fprintf(w, "$var wire %d %s r_%s $end\n",
-			resultWidth(d.Op(dfg.OpID(o)).Spec), ident(o), name)
+			d.Op(dfg.OpID(o)).Spec.ResultWidth(), ident(o), name)
 	}
 	for ii := range dp.Instances {
 		fmt.Fprintf(w, "$var wire 32 %s u%d_op $end\n", ident(n+ii), ii)
@@ -60,7 +60,7 @@ func WriteVCD(w io.Writer, d *dfg.Graph, lib *model.Library, dp *datapath.Datapa
 	events := map[int][]change{}
 	for _, tr := range traces {
 		events[tr.Finish] = append(events[tr.Finish], change{
-			id: ident(int(tr.Op)), width: resultWidth(d.Op(tr.Op).Spec), value: tr.Value, has: true,
+			id: ident(int(tr.Op)), width: d.Op(tr.Op).Spec.ResultWidth(), value: tr.Value, has: true,
 		})
 		events[tr.Start] = append(events[tr.Start], change{
 			id: ident(n + tr.Instance), width: 32, value: uint64(tr.Op), has: true,

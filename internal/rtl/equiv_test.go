@@ -17,11 +17,13 @@ import (
 	"repro/internal/vsim"
 )
 
-// runEquivalence generates Verilog for the datapath, elaborates it in the
-// vsim simulator, clocks it over `vectors` random input vectors and
-// compares every sink output against the fixed-point reference
-// evaluation. This executes the emitted source text itself, so it
-// catches text-generation bugs that no in-memory check can.
+// runEquivalence generates Verilog for the datapath, elaborates the text
+// through the netlist front end into the vsim concrete simulator, clocks
+// it over `vectors` random input vectors and compares every sink output
+// against the fixed-point reference evaluation. This executes the
+// emitted source text, so it catches text-generation bugs that no
+// in-memory check can; vsim evaluates with its own arithmetic, so it
+// also catches a bug in the equiv prover.
 func runEquivalence(t *testing.T, d *dfg.Graph, lib *model.Library, dp *datapath.Datapath, rnd *rand.Rand, vectors int) {
 	t.Helper()
 	src, err := rtl.Generate("dut", d, lib, dp)

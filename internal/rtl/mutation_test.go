@@ -167,9 +167,11 @@ func equivFindings(t *testing.T, src string, g *dfg.Graph, lib *model.Library, d
 	return eq
 }
 
-// samplingPasses runs the vsim/fxsim differential check and reports
-// whether every sampled vector matched (i.e. whether simulation-based
-// verification would have let the module through).
+// samplingPasses runs the vsim/fxsim differential check (the mutant's
+// text elaborated through the netlist front end and clocked on concrete
+// vectors) and reports whether every sampled vector matched (i.e.
+// whether simulation-based verification would have let the module
+// through).
 func samplingPasses(t *testing.T, src string, g *dfg.Graph, lib *model.Library, dp *datapath.Datapath, seed int64, vectors int) bool {
 	t.Helper()
 	bench, err := vsim.NewBench(src)

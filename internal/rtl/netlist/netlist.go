@@ -186,6 +186,11 @@ func (d *Design) checkExpr(e Expr) {
 	}
 }
 
+// ResolveDiags returns the reference-level problems found during
+// elaboration. A design with any cannot be simulated or analysed
+// further: some reference in it names no net, or drives one it may not.
+func (d *Design) ResolveDiags() []Diag { return d.resolveDiags }
+
 func (d *Design) reportf(line int, net string, format string, args ...any) {
 	d.resolveDiags = append(d.resolveDiags, Diag{
 		File: d.File, Line: line, Net: net, Analyzer: "resolve",

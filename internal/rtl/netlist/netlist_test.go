@@ -598,6 +598,31 @@ func TestParseErrors(t *testing.T) {
 			src:  "module m (\n  input wire clk\n);\n/* open\nendmodule\n",
 			want: "unterminated block comment",
 		},
+		{
+			name: "missing module keyword",
+			src:  "wire x = 1;\n",
+			want: `expected "module"`,
+		},
+		{
+			name: "declaration range not ending at 0",
+			src:  "module m (\n  input wire [3:1] a\n);\nendmodule\n",
+			want: "must end at 0",
+		},
+		{
+			name: "unsupported initial item",
+			src:  "module m (\n  input wire a\n);\n  initial begin end\nendmodule\n",
+			want: "unsupported module item",
+		},
+		{
+			name: "unknown literal base",
+			src:  "module m (\n  output wire [3:0] y\n);\n  assign y = 4'x12;\nendmodule\n",
+			want: "unknown literal base",
+		},
+		{
+			name: "truncated sized literal",
+			src:  "module m (\n  output wire [3:0] y\n);\n  assign y = 4'",
+			want: "truncated sized literal",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

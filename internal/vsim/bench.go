@@ -1,6 +1,10 @@
 package vsim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/rtl/netlist"
+)
 
 // Bench drives a module that follows the internal/rtl interface contract:
 // inputs clk, rst and start, an output done that rises when the iteration
@@ -9,26 +13,28 @@ import "fmt"
 // vectors to output vectors.
 type Bench struct {
 	Sim *Sim
-	mod *Module
+	mod *netlist.Module
 }
 
-// NewBench parses the Verilog source and elaborates a simulator,
-// verifying the module exposes the expected control ports.
+// NewBench parses and elaborates the Verilog source through the netlist
+// front end and builds a simulator, verifying the module exposes the
+// expected control ports.
 func NewBench(src string) (*Bench, error) {
-	m, err := Parse(src)
+	m, err := netlist.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	sim, err := NewSim(m)
+	d := netlist.Elaborate(m, "")
+	sim, err := NewSim(d)
 	if err != nil {
 		return nil, err
 	}
 	for _, ctl := range []string{"clk", "rst", "start"} {
-		if w, ok := m.widths[ctl]; !ok || !m.isInput[ctl] || w != 1 {
+		if n := d.Nets[ctl]; n == nil || n.Kind != netlist.NetInput || n.Width != 1 {
 			return nil, fmt.Errorf("vsim: module %s lacks 1-bit input %q", m.Name, ctl)
 		}
 	}
-	if w, ok := m.widths["done"]; !ok || m.isInput["done"] || w != 1 {
+	if n := d.Nets["done"]; n == nil || n.Kind != netlist.NetOutput || n.Width != 1 {
 		return nil, fmt.Errorf("vsim: module %s lacks 1-bit output \"done\"", m.Name)
 	}
 	return &Bench{Sim: sim, mod: m}, nil

@@ -1,90 +1,140 @@
+// Package vsim clocks the synthesisable Verilog subset emitted by
+// internal/rtl on concrete values, providing an independent execution
+// path for the generated hardware description: the emitted source text
+// is parsed into the internal/rtl/netlist IR, simulated cycle by cycle,
+// and its port-level behaviour is compared against the fixed-point
+// reference. A bug in text generation (wrong bit-select, missed padding,
+// misplaced schedule event) surfaces here as a value mismatch even when
+// the in-memory structures that produced the text were correct.
+//
+// The simulator shares only the front end with the symbolic prover in
+// internal/rtl/netlist/sem. It evaluates with its own uint64 arithmetic,
+// not through sem or model.Arith, so a bug in the prover's semantics
+// cannot hide the same bug here.
 package vsim
 
 import (
 	"fmt"
-	"sort"
+
+	"repro/internal/rtl/netlist"
 )
 
-// Sim is a cycle simulator for one parsed Module. Signal values are held
-// masked to their declared widths; wires are recomputed in dependency
-// order after every input change and clock edge; always blocks use
-// standard non-blocking semantics (all right-hand sides evaluate against
-// the pre-edge state, then commit together).
+// Sim is a cycle simulator for one elaborated netlist.Design. Signal
+// values are held masked to their declared widths; combinational
+// definitions are recomputed in dependency order after every input
+// change and clock edge; always blocks use standard non-blocking
+// semantics (all right-hand sides evaluate against the pre-edge state,
+// then commit together).
 type Sim struct {
-	m     *Module
+	d     *netlist.Design
 	vals  map[string]uint64
-	order []int // indices into m.Wires, evaluation order
+	order []netlist.Assign // combinational definitions, evaluation order
 
 	pending map[string]uint64 // scratch for non-blocking commits
 }
 
-// NewSim elaborates the module: orders combinational wire definitions
-// topologically (reporting combinational cycles) and zero-initialises
-// every signal.
-func NewSim(m *Module) (*Sim, error) {
-	s := &Sim{m: m, vals: make(map[string]uint64), pending: make(map[string]uint64)}
-	byName := make(map[string]int, len(m.Wires))
-	for i, w := range m.Wires {
-		if _, dup := byName[w.Name]; dup {
-			return nil, fmt.Errorf("vsim: wire %q driven twice", w.Name)
-		}
-		byName[w.Name] = i
+// NewSim checks that the design can be simulated, orders its
+// combinational definitions topologically (reporting combinational
+// cycles) and settles them with every signal zero-initialised. A design
+// with resolve diagnostics, a net wider than 64 bits, a continuously
+// assigned net with any other driver, or a part-select past a net's
+// width is refused.
+func NewSim(d *netlist.Design) (*Sim, error) {
+	if diags := d.ResolveDiags(); len(diags) > 0 {
+		return nil, fmt.Errorf("vsim: %s", diags[0])
 	}
-	// DFS topological order over wire-to-wire dependencies.
+	for _, name := range d.Order {
+		if w := d.Nets[name].Width; w > 64 {
+			return nil, fmt.Errorf("vsim: %q is %d bits wide (max 64)", name, w)
+		}
+	}
+	m := d.Module
+	checkSelects := func(e netlist.Expr) error {
+		return visit(e, func(e netlist.Expr) error {
+			sel, ok := e.(netlist.Select)
+			if !ok {
+				return nil
+			}
+			// The parser only builds selects of a named net.
+			ref := sel.X.(netlist.Ref)
+			if w := d.Nets[ref.Name].Width; sel.Hi >= w {
+				return fmt.Errorf("vsim: line %d: select %s[%d:%d] exceeds width %d", sel.Line, ref.Name, sel.Hi, sel.Lo, w)
+			}
+			return nil
+		})
+	}
+	byName := make(map[string]int, len(m.Assigns))
+	for i, a := range m.Assigns {
+		if len(d.Nets[a.Target].Drivers) > 1 {
+			return nil, fmt.Errorf("vsim: %q driven twice", a.Target)
+		}
+		byName[a.Target] = i
+		if err := checkSelects(a.Expr); err != nil {
+			return nil, err
+		}
+	}
+	for _, al := range m.Always {
+		if err := walkStmts(al.Body, checkSelects); err != nil {
+			return nil, err
+		}
+	}
+
+	s := &Sim{d: d, vals: make(map[string]uint64), pending: make(map[string]uint64)}
+	// DFS topological order over definition-to-definition dependencies.
 	const (
 		unvisited = 0
 		visiting  = 1
 		done      = 2
 	)
-	state := make([]int, len(m.Wires))
-	var visit func(i int) error
-	visit = func(i int) error {
+	state := make([]int, len(m.Assigns))
+	var dfs func(i int) error
+	dfs = func(i int) error {
 		switch state[i] {
 		case visiting:
-			return fmt.Errorf("vsim: combinational cycle through %q", m.Wires[i].Name)
+			return fmt.Errorf("vsim: combinational cycle through %q", m.Assigns[i].Target)
 		case done:
 			return nil
 		}
 		state[i] = visiting
-		for _, dep := range exprRefs(m.Wires[i].Expr, nil) {
-			if j, ok := byName[dep]; ok {
-				if err := visit(j); err != nil {
-					return err
+		err := visit(m.Assigns[i].Expr, func(e netlist.Expr) error {
+			if r, ok := e.(netlist.Ref); ok {
+				if j, ok := byName[r.Name]; ok {
+					return dfs(j)
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		state[i] = done
-		s.order = append(s.order, i)
+		s.order = append(s.order, m.Assigns[i])
 		return nil
 	}
-	// Visit in a deterministic order.
-	idxs := make([]int, len(m.Wires))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	sort.Slice(idxs, func(a, b int) bool { return m.Wires[idxs[a]].Name < m.Wires[idxs[b]].Name })
-	for _, i := range idxs {
-		if err := visit(i); err != nil {
+	for i := range m.Assigns {
+		if err := dfs(i); err != nil {
 			return nil, err
 		}
 	}
-	s.recompute()
+	if err := s.recompute(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
 // Set drives an input port and settles combinational logic.
 func (s *Sim) Set(name string, v uint64) error {
-	if !s.m.isInput[name] {
+	n := s.d.Nets[name]
+	if n == nil || n.Kind != netlist.NetInput {
 		return fmt.Errorf("vsim: %q is not an input port", name)
 	}
-	s.vals[name] = maskTo(v, s.m.widths[name])
-	s.recompute()
-	return nil
+	s.vals[name] = maskTo(v, n.Width)
+	return s.recompute()
 }
 
 // Get returns the current value of any signal (port, reg or wire).
 func (s *Sim) Get(name string) (uint64, error) {
-	if _, ok := s.m.widths[name]; !ok {
+	if s.d.Nets[name] == nil {
 		return 0, fmt.Errorf("vsim: unknown signal %q", name)
 	}
 	return s.vals[name], nil
@@ -92,13 +142,13 @@ func (s *Sim) Get(name string) (uint64, error) {
 
 // Step applies one positive edge of the named clock: every always block
 // sensitive to it evaluates against the pre-edge state, updates commit
-// together, then wires settle.
+// together, then combinational logic settles.
 func (s *Sim) Step(clock string) error {
-	if _, ok := s.m.widths[clock]; !ok {
+	if s.d.Nets[clock] == nil {
 		return fmt.Errorf("vsim: unknown clock %q", clock)
 	}
 	clear(s.pending)
-	for _, a := range s.m.Always {
+	for _, a := range s.d.Module.Always {
 		if a.Clock != clock {
 			continue
 		}
@@ -107,25 +157,24 @@ func (s *Sim) Step(clock string) error {
 		}
 	}
 	for name, v := range s.pending {
-		s.vals[name] = maskTo(v, s.m.widths[name])
+		s.vals[name] = maskTo(v, s.d.Nets[name].Width)
 	}
-	s.recompute()
-	return nil
+	return s.recompute()
 }
 
 // exec runs statements, accumulating non-blocking updates. Conditions
 // read committed (pre-edge) values; an earlier pending write to the same
 // target in this edge is overwritten, matching event semantics.
-func (s *Sim) exec(stmts []Stmt) error {
+func (s *Sim) exec(stmts []netlist.Stmt) error {
 	for _, st := range stmts {
 		switch st := st.(type) {
-		case NonBlocking:
+		case netlist.NonBlocking:
 			v, err := s.eval(st.Expr)
 			if err != nil {
 				return err
 			}
 			s.pending[st.Target] = v
-		case If:
+		case netlist.If:
 			c, err := s.eval(st.Cond)
 			if err != nil {
 				return err
@@ -144,36 +193,37 @@ func (s *Sim) exec(stmts []Stmt) error {
 	return nil
 }
 
-// recompute settles every combinational wire in dependency order.
-func (s *Sim) recompute() {
-	for _, i := range s.order {
-		w := s.m.Wires[i]
-		v, err := s.eval(w.Expr)
+// recompute settles every combinational definition in dependency order.
+// Evaluation fails only on a value the subset leaves undefined, such as
+// a division by zero.
+func (s *Sim) recompute() error {
+	for _, a := range s.order {
+		v, err := s.eval(a.Expr)
 		if err != nil {
-			// resolve() validated references; evaluation cannot fail.
-			panic(fmt.Sprintf("vsim: internal: %v", err))
+			return fmt.Errorf("%w in the assign to %q at line %d", err, a.Target, a.Line)
 		}
-		s.vals[w.Name] = maskTo(v, w.Width)
+		s.vals[a.Target] = maskTo(v, s.d.Nets[a.Target].Width)
 	}
+	return nil
 }
 
 // eval computes an expression against committed values. Arithmetic is
 // performed in 64 bits; stored signals are invariantly masked to their
 // declared widths, and assignment masks the result, which reproduces the
 // unsigned modulo semantics of the generated subset.
-func (s *Sim) eval(e Expr) (uint64, error) {
+func (s *Sim) eval(e netlist.Expr) (uint64, error) {
 	switch e := e.(type) {
-	case Num:
+	case netlist.Num:
 		return e.Val, nil
-	case Ref:
+	case netlist.Ref:
 		return s.vals[e.Name], nil
-	case Select:
+	case netlist.Select:
 		v, err := s.eval(e.X)
 		if err != nil {
 			return 0, err
 		}
 		return maskTo(v>>uint(e.Lo), e.Hi-e.Lo+1), nil
-	case Unary:
+	case netlist.Unary:
 		v, err := s.eval(e.X)
 		if err != nil {
 			return 0, err
@@ -190,7 +240,7 @@ func (s *Sim) eval(e Expr) (uint64, error) {
 			return -v, nil
 		}
 		return 0, fmt.Errorf("vsim: unknown unary %q", e.Op)
-	case Binary:
+	case netlist.Binary:
 		x, err := s.eval(e.X)
 		if err != nil {
 			return 0, err
@@ -200,7 +250,7 @@ func (s *Sim) eval(e Expr) (uint64, error) {
 			return 0, err
 		}
 		return evalBinary(e.Op, x, y)
-	case Ternary:
+	case netlist.Ternary:
 		c, err := s.eval(e.Cond)
 		if err != nil {
 			return 0, err
@@ -209,7 +259,7 @@ func (s *Sim) eval(e Expr) (uint64, error) {
 			return s.eval(e.Then)
 		}
 		return s.eval(e.Else)
-	case Concat:
+	case netlist.Concat:
 		var v uint64
 		for _, part := range e.Parts {
 			pv, err := s.eval(part)
@@ -257,6 +307,8 @@ func evalBinary(op string, x, y uint64) (uint64, error) {
 		return b2u(x < y), nil
 	case ">":
 		return b2u(x > y), nil
+	case "<=":
+		return b2u(x <= y), nil
 	case ">=":
 		return b2u(x >= y), nil
 	case "&&":
@@ -286,39 +338,31 @@ func evalBinary(op string, x, y uint64) (uint64, error) {
 // exprWidth is the self-determined width of an expression, needed for
 // concatenation packing. Signals use declared widths; sized literals
 // their own; comparisons and logical operators are 1 bit.
-func (s *Sim) exprWidth(e Expr) int {
+func (s *Sim) exprWidth(e netlist.Expr) int {
 	switch e := e.(type) {
-	case Num:
+	case netlist.Num:
 		if e.Width > 0 {
 			return e.Width
 		}
 		return 32 // Verilog's unsized-literal default
-	case Ref:
-		return s.m.widths[e.Name]
-	case Select:
+	case netlist.Ref:
+		return s.d.Nets[e.Name].Width
+	case netlist.Select:
 		return e.Hi - e.Lo + 1
-	case Unary:
+	case netlist.Unary:
 		if e.Op == "!" {
 			return 1
 		}
 		return s.exprWidth(e.X)
-	case Binary:
+	case netlist.Binary:
 		switch e.Op {
-		case "==", "!=", "<", ">", ">=", "&&", "||":
+		case "==", "!=", "<", ">", "<=", ">=", "&&", "||":
 			return 1
 		}
-		if a, b := s.exprWidth(e.X), s.exprWidth(e.Y); a > b {
-			return a
-		} else {
-			return b
-		}
-	case Ternary:
-		if a, b := s.exprWidth(e.Then), s.exprWidth(e.Else); a > b {
-			return a
-		} else {
-			return b
-		}
-	case Concat:
+		return max(s.exprWidth(e.X), s.exprWidth(e.Y))
+	case netlist.Ternary:
+		return max(s.exprWidth(e.Then), s.exprWidth(e.Else))
+	case netlist.Concat:
 		w := 0
 		for _, p := range e.Parts {
 			w += s.exprWidth(p)
@@ -328,28 +372,54 @@ func (s *Sim) exprWidth(e Expr) int {
 	return 0
 }
 
-// exprRefs appends the names referenced by e.
-func exprRefs(e Expr, out []string) []string {
+// visit calls f on e and then on each of its sub-expressions, stopping
+// at the first error.
+func visit(e netlist.Expr, f func(netlist.Expr) error) error {
+	if err := f(e); err != nil {
+		return err
+	}
+	var subs []netlist.Expr
 	switch e := e.(type) {
-	case Ref:
-		out = append(out, e.Name)
-	case Select:
-		out = exprRefs(e.X, out)
-	case Unary:
-		out = exprRefs(e.X, out)
-	case Binary:
-		out = exprRefs(e.X, out)
-		out = exprRefs(e.Y, out)
-	case Ternary:
-		out = exprRefs(e.Cond, out)
-		out = exprRefs(e.Then, out)
-		out = exprRefs(e.Else, out)
-	case Concat:
-		for _, p := range e.Parts {
-			out = exprRefs(p, out)
+	case netlist.Select:
+		subs = []netlist.Expr{e.X}
+	case netlist.Unary:
+		subs = []netlist.Expr{e.X}
+	case netlist.Binary:
+		subs = []netlist.Expr{e.X, e.Y}
+	case netlist.Ternary:
+		subs = []netlist.Expr{e.Cond, e.Then, e.Else}
+	case netlist.Concat:
+		subs = e.Parts
+	}
+	for _, sub := range subs {
+		if err := visit(sub, f); err != nil {
+			return err
 		}
 	}
-	return out
+	return nil
+}
+
+// walkStmts calls f on every expression in an always-block body.
+func walkStmts(stmts []netlist.Stmt, f func(netlist.Expr) error) error {
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case netlist.NonBlocking:
+			if err := f(st.Expr); err != nil {
+				return err
+			}
+		case netlist.If:
+			if err := f(st.Cond); err != nil {
+				return err
+			}
+			if err := walkStmts(st.Then, f); err != nil {
+				return err
+			}
+			if err := walkStmts(st.Else, f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func maskTo(v uint64, w int) uint64 {
