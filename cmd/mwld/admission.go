@@ -2,8 +2,6 @@ package main
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 )
 
 // admission gates the solve endpoints: per-client token-bucket rate
@@ -25,7 +24,8 @@ import (
 // back rather than surfacing the 503 to the client.
 type admission struct {
 	svc      *mwl.Service
-	queueCap int // shed when this many solves are already waiting; <=0 disables
+	cl       *cluster // nil = single replica: no request is peer-forwarded
+	queueCap int      // shed when this many solves are already waiting; <=0 disables
 	rl       *rateLimiter
 
 	shed    atomic.Uint64 // requests refused for queue depth
@@ -36,11 +36,11 @@ type admission struct {
 // per client and burst the bucket size; rate <= 0 disables rate
 // limiting. queueCap <= 0 disables shedding. Returns nil when both are
 // disabled.
-func newAdmission(svc *mwl.Service, queueCap int, rate float64, burst int) *admission {
+func newAdmission(svc *mwl.Service, cl *cluster, queueCap int, rate float64, burst int) *admission {
 	if queueCap <= 0 && rate <= 0 {
 		return nil
 	}
-	a := &admission{svc: svc, queueCap: queueCap}
+	a := &admission{svc: svc, cl: cl, queueCap: queueCap}
 	if rate > 0 {
 		if burst < 1 {
 			burst = 1
@@ -59,12 +59,14 @@ func newAdmission(svc *mwl.Service, queueCap int, rate float64, burst int) *admi
 // refusal has already been written. A nil gate admits everything.
 // Requests forwarded by a peer replica bypass the per-client rate limit
 // — the peer's client already paid at the peer — but not queue
-// shedding, which protects this process no matter who asks.
+// shedding, which protects this process no matter who asks. Only a
+// forwarded header naming another configured replica counts, so a
+// client cannot skip the limit by setting the header itself.
 func (a *admission) admit(w http.ResponseWriter, r *http.Request) bool {
 	if a == nil {
 		return true
 	}
-	if a.rl != nil && r.Header.Get(forwardedHeader) == "" {
+	if a.rl != nil && !a.cl.fromPeer(r) {
 		if retry, ok := a.rl.take(clientKey(r)); !ok {
 			a.limited.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
@@ -151,10 +153,10 @@ func (rl *rateLimiter) evictStalest() {
 
 // writeMetrics appends the admission-control series to the Prometheus
 // exposition.
-func (a *admission) writeMetrics(w io.Writer) {
+func (a *admission) writeMetrics(w metrics.Writer) {
 	if a == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP mwld_admission_shed_total Requests refused with 503 because the worker queue exceeded the depth cap.\n# TYPE mwld_admission_shed_total counter\nmwld_admission_shed_total %d\n", a.shed.Load())
-	fmt.Fprintf(w, "# HELP mwld_ratelimited_total Requests refused with 429 by the per-client rate limit.\n# TYPE mwld_ratelimited_total counter\nmwld_ratelimited_total %d\n", a.limited.Load())
+	w.Counter("mwld_admission_shed_total", "Requests refused with 503 because the worker queue exceeded the depth cap.", a.shed.Load())
+	w.Counter("mwld_ratelimited_total", "Requests refused with 429 by the per-client rate limit.", a.limited.Load())
 }

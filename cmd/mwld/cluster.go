@@ -14,6 +14,7 @@ import (
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 	"repro/internal/shard"
 )
 
@@ -24,17 +25,17 @@ import (
 const forwardedHeader = "X-Mwld-Forwarded"
 
 // defaultRelayLimit caps how much of an owner's response body the
-// forwarder will buffer before classifying the relay as failed.
+// forwarder will buffer before classifying the forward as failed.
 const defaultRelayLimit = 64 << 20
 
 // cluster is mwld's horizontal scale-out mode: problems are owned by
 // exactly one replica — rendezvous hashing of Problem.Hash() over the
 // shared peer list — so each problem is computed (and cached, and
 // persisted) once cluster-wide. The owner solves locally; every other
-// replica proxies the solve to the first live replica in the key's rank
-// order and relays the result, falling back to a local solve (preceded
-// by a read-through of the ranked replicas' stores) when no owner is
-// reachable.
+// replica forwards the solve to the first live replica in the key's
+// rank order and answers with its result, falling back to a local solve
+// (preceded by a read-through of the ranked replicas' stores) when no
+// owner is reachable.
 type cluster struct {
 	ring   *shard.Ring
 	self   string
@@ -51,7 +52,7 @@ type cluster struct {
 	forwarded   atomic.Uint64 // requests proxied to their owner
 	fallback    atomic.Uint64 // owner unreachable: solved locally instead
 	rerouted    atomic.Uint64 // requests routed past a down owner without burning a timeout
-	relayErrors atomic.Uint64 // relays that died mid-body after the status line
+	relayErrors atomic.Uint64 // forwards whose owner response body failed mid-read
 	readHits    atomic.Uint64 // fallback solves served from a ranked peer's store
 	readMisses  atomic.Uint64 // fallback read-throughs that found no copy and recomputed
 }
@@ -143,6 +144,17 @@ func (c *cluster) owner(p mwl.Problem) string {
 	return c.ring.Owner(key)
 }
 
+// fromPeer reports whether r was forwarded by another replica of this
+// cluster: its forwarded header normalizes to a configured peer other
+// than self. Always false on a single replica (nil cluster).
+func (c *cluster) fromPeer(r *http.Request) bool {
+	if c == nil {
+		return false
+	}
+	from := normalizeAddr(r.Header.Get(forwardedHeader))
+	return from != c.self && c.ring.Contains(from)
+}
+
 // alive reports whether a replica is believed reachable. Without a
 // health checker every peer is assumed up, which reproduces the static
 // relay-or-fallback behaviour; self is up by definition.
@@ -161,21 +173,6 @@ func (c *cluster) target(p mwl.Problem) string {
 		return ""
 	}
 	return c.ring.First(key, c.alive)
-}
-
-// routeCounters records the owned/fallback/rerouted counter movement of
-// one routed request that is about to be answered locally.
-func (c *cluster) routeCounters(target, trueOwner string) {
-	if trueOwner != "" && target != trueOwner {
-		c.rerouted.Add(1)
-	}
-	if target == c.self {
-		if trueOwner == c.self {
-			c.owned.Add(1)
-		} else {
-			c.fallback.Add(1)
-		}
-	}
 }
 
 // serveLocal answers p on this replica. When this replica is not the
@@ -257,36 +254,39 @@ func (c *cluster) observeFailure(addr string) {
 	}
 }
 
-// solver returns the per-problem solve function for batch endpoints:
+// solver returns the per-problem solve function of routed requests:
 // problems are answered by the first live ranked replica — locally when
 // that is us, otherwise forwarded with a read-through-then-recompute
 // fallback. Passed to Service.SolveBatchVia, which bounds the fan-out
 // either way.
 func (c *cluster) solver(svc *mwl.Service) func(context.Context, mwl.Problem) (mwl.Solution, error) {
 	return func(ctx context.Context, p mwl.Problem) (mwl.Solution, error) {
-		trueOwner := c.owner(p)
-		target := c.target(p)
-		if target == "" || target == c.self {
-			c.routeCounters(target, trueOwner)
-			return c.serveLocal(ctx, svc, p, trueOwner)
-		}
-		if trueOwner != "" && target != trueOwner {
+		trueOwner, target := c.owner(p), c.target(p)
+		if target != trueOwner {
 			c.rerouted.Add(1)
 		}
-		sol, err, relayed := c.forwardSolve(ctx, target, p)
-		if relayed {
-			c.forwarded.Add(1)
-			return sol, err
+		switch {
+		case target == "": // no canonical hash, so no owner: solved where it lands
+		case target == c.self && trueOwner == c.self:
+			c.owned.Add(1)
+		case target == c.self:
+			c.fallback.Add(1)
+		default:
+			sol, err, relayed := c.forwardSolve(ctx, target, p)
+			if relayed {
+				c.forwarded.Add(1)
+				return sol, err
+			}
+			if ctx.Err() != nil {
+				return mwl.Solution{}, ctx.Err()
+			}
+			c.fallback.Add(1)
 		}
-		if ctx.Err() != nil {
-			return mwl.Solution{}, ctx.Err()
-		}
-		c.fallback.Add(1)
 		return c.serveLocal(ctx, svc, p, trueOwner)
 	}
 }
 
-// localSolver is the batch solve function for requests a peer already
+// localSolver is the solve function for requests a peer already
 // forwarded here: never forwarded onward, but still read-through-aware,
 // so a forward that lands on a non-owner (the owner died) serves the
 // replicated copy instead of recomputing.
@@ -304,12 +304,30 @@ func unavailableStatus(code int) bool {
 	return code == 499 || code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests
 }
 
+// peerError is an owner's non-200 verdict on a forwarded solve. It
+// keeps the owner's status and message, so the forwarding replica
+// answers exactly as the owner did, and a 422 wraps mwl.ErrInfeasible
+// so batch results keep their infeasible marker.
+type peerError struct {
+	status int
+	msg    string
+}
+
+func (e *peerError) Error() string { return e.msg }
+
+func (e *peerError) Unwrap() error {
+	if e.status == http.StatusUnprocessableEntity {
+		return mwl.ErrInfeasible
+	}
+	return nil
+}
+
 // forwardSolve proxies one problem to target's /v1/solve. relayed
 // reports whether the target answered usefully: a transport failure
-// (connection refused, mid-restart, truncated response) or an
-// unavailable status (draining, shedding) returns relayed=false and the
-// caller solves locally; any other HTTP-level answer — success or error
-// — is the target's verdict and is returned as-is.
+// (connection refused, mid-restart, a response body cut off or over
+// relayLimit) or an unavailable status (draining, shedding) returns
+// relayed=false and the caller solves locally; any other HTTP-level
+// answer — a solution or a *peerError — is the target's verdict.
 func (c *cluster) forwardSolve(ctx context.Context, target string, p mwl.Problem) (sol mwl.Solution, err error, relayed bool) {
 	blob, err := json.Marshal(p)
 	if err != nil {
@@ -334,6 +352,10 @@ func (c *cluster) forwardSolve(ctx context.Context, target string, p mwl.Problem
 	// confusing JSON error instead of engaging the fallback path.
 	body, err := io.ReadAll(io.LimitReader(resp.Body, c.relayLimit+1))
 	if err != nil {
+		if ctx.Err() == nil {
+			c.relayErrors.Add(1)
+			log.Printf("forward to %s died mid-body, solving locally: %v", target, err)
+		}
 		return mwl.Solution{}, err, false
 	}
 	if int64(len(body)) > c.relayLimit {
@@ -350,14 +372,7 @@ func (c *cluster) forwardSolve(ctx context.Context, target string, p mwl.Problem
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
 			msg = e.Error
 		}
-		infeasible := resp.StatusCode == http.StatusUnprocessableEntity
-		if !infeasible {
-			msg = fmt.Sprintf("owner %s: %s", target, msg)
-		}
-		// FromWire keeps the relayed classification: infeasible verdicts
-		// wrap mwl.ErrInfeasible and survive re-Wire()ing in a batch.
-		rec := mwl.BatchResultWire{Error: msg, Infeasible: infeasible}
-		return mwl.Solution{}, rec.FromWire().Err, true
+		return mwl.Solution{}, &peerError{status: resp.StatusCode, msg: msg}, true
 	}
 	if err := json.Unmarshal(body, &sol); err != nil {
 		return mwl.Solution{}, fmt.Errorf("owner %s: decoding solution: %w", target, err), false
@@ -365,74 +380,17 @@ func (c *cluster) forwardSolve(ctx context.Context, target string, p mwl.Problem
 	return sol, nil, true
 }
 
-// relay proxies a single-solve request body to target and copies the
-// response — status, headers that matter, body — back to the client
-// verbatim, counting it as forwarded. Returns false when the target is
-// unreachable, draining or shedding, in which case nothing has been
-// written and the caller falls back to a local solve. A requesting
-// client that disconnected mid-relay is answered 499 without touching
-// the forwarded counter: nothing reached anyone.
-func (c *cluster) relay(w http.ResponseWriter, r *http.Request, target string, body []byte) bool {
-	req, err := http.NewRequestWithContext(r.Context(), "POST", target+"/v1/solve", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, c.self)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		// The client going away is not the owner's fault; don't burn a
-		// local solve on a dead request.
-		if r.Context().Err() != nil {
-			writeError(w, 499, r.Context().Err())
-			return true
-		}
-		c.observeFailure(target)
-		return false
-	}
-	defer resp.Body.Close()
-	// An owner that cannot serve right now — draining for shutdown (499
-	// with our client still connected) or shedding load (503/429) — is
-	// unavailable, not a verdict: fall back to a local solve rather than
-	// relaying an error the client never caused.
-	if unavailableStatus(resp.StatusCode) && r.Context().Err() == nil {
-		return false
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		// The status line is already on the wire, so this relay must
-		// count as forwarded either way — but a copy that died mid-body
-		// handed the client a truncated response indistinguishable from
-		// success unless it is made visible here.
-		c.relayErrors.Add(1)
-		log.Printf("relay from %s died mid-body: %v", target, err)
-	}
-	c.forwarded.Add(1)
-	return true
-}
-
-// writeShardMetrics appends the cluster routing counters to the
-// Prometheus exposition.
-func (c *cluster) writeShardMetrics(w io.Writer) {
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"mwld_shard_owned_total", "Solve requests handled locally because this replica owns the problem hash.", c.owned.Load()},
-		{"mwld_shard_forwarded_total", "Solve requests proxied to the owning replica.", c.forwarded.Load()},
-		{"mwld_shard_fallback_total", "Solve requests answered locally because the owning replica was unreachable.", c.fallback.Load()},
-		{"mwld_shard_rerouted_total", "Solve requests routed past a down owner to the next ranked replica before burning a connection timeout.", c.rerouted.Load()},
-		{"mwld_shard_relay_errors_total", "Relays that failed after the status line was written, handing the client a truncated response.", c.relayErrors.Load()},
-		{"mwld_readthrough_hits_total", "Fallback solves served from a ranked peer's store instead of recomputing.", c.readHits.Load()},
-		{"mwld_readthrough_misses_total", "Fallback read-throughs that found no replicated copy and recomputed locally.", c.readMisses.Load()},
-	}
-	for _, ct := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", ct.name, ct.help, ct.name, ct.name, ct.v)
-	}
-	fmt.Fprintf(w, "# HELP mwld_shard_replicas Replicas in the configured peer list.\n# TYPE mwld_shard_replicas gauge\nmwld_shard_replicas %d\n", c.ring.Len())
+// writeShardMetrics appends the cluster routing, health and
+// replication series to the Prometheus exposition.
+func (c *cluster) writeShardMetrics(w metrics.Writer) {
+	w.Counter("mwld_shard_owned_total", "Solve requests handled locally because this replica owns the problem hash.", c.owned.Load())
+	w.Counter("mwld_shard_forwarded_total", "Solve requests proxied to the owning replica.", c.forwarded.Load())
+	w.Counter("mwld_shard_fallback_total", "Solve requests answered locally because the owning replica was unreachable.", c.fallback.Load())
+	w.Counter("mwld_shard_rerouted_total", "Solve requests routed past a down owner to the next ranked replica before burning a connection timeout.", c.rerouted.Load())
+	w.Counter("mwld_shard_relay_errors_total", "Forwarded solves whose owner response failed mid-body; each fell back to a local solve.", c.relayErrors.Load())
+	w.Counter("mwld_readthrough_hits_total", "Fallback solves served from a ranked peer's store instead of recomputing.", c.readHits.Load())
+	w.Counter("mwld_readthrough_misses_total", "Fallback read-throughs that found no replicated copy and recomputed locally.", c.readMisses.Load())
+	w.Gauge("mwld_shard_replicas", "Replicas in the configured peer list.", int64(c.ring.Len()))
 	if c.health != nil {
 		c.health.writeMetrics(w)
 	}

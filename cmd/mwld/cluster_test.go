@@ -292,9 +292,10 @@ func TestClusterBatchAndStreamRouting(t *testing.T) {
 	}
 }
 
-// TestClusterForwardedErrorKeepsClassification: an infeasible problem
-// owned by the other replica must come back 422 through the relay, and
-// a batch entry must keep its infeasible marker.
+// TestClusterForwardedErrorKeepsClassification: an owner's verdict on
+// a forwarded problem keeps its status through the forwarding replica
+// — 422 for an infeasible problem, 400 for an unknown method — and a
+// batch entry keeps its infeasible marker (or lack of one).
 func TestClusterForwardedErrorKeepsClassification(t *testing.T) {
 	reps := startCluster(t, 2)
 	g := mwl.Fig1Graph()
@@ -302,30 +303,44 @@ func TestClusterForwardedErrorKeepsClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := mwl.Problem{Graph: g, Lambda: lmin - 1} // infeasible
-	_, peer := splitByOwner(t, reps, p)
+	for _, tc := range []struct {
+		name       string
+		p          mwl.Problem
+		status     int
+		infeasible bool
+	}{
+		{"infeasible", mwl.Problem{Graph: g, Lambda: lmin - 1}, http.StatusUnprocessableEntity, true},
+		{"unknown method", mwl.Problem{Method: "no-such-method", Graph: g, Lambda: lmin + 1}, http.StatusBadRequest, false},
+	} {
+		_, peer := splitByOwner(t, reps, tc.p)
+		forwarded := peer.cl.forwarded.Load()
 
-	resp, err := http.Post(peer.url+"/v1/solve", "application/json", bytes.NewReader(mustJSON(t, p)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("relayed infeasible solve: status %d, want 422", resp.StatusCode)
-	}
+		resp, err := http.Post(peer.url+"/v1/solve", "application/json", bytes.NewReader(mustJSON(t, tc.p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: forwarded solve: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
 
-	resp2, err := http.Post(peer.url+"/v1/solve/batch", "application/json",
-		bytes.NewReader(mustJSON(t, mwl.BatchRequest{Problems: []mwl.Problem{p}})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var out mwl.BatchResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 1 || !out.Results[0].Infeasible || out.Results[0].Error == "" {
-		t.Fatalf("forwarded batch result lost its infeasible marker: %+v", out.Results)
+		resp2, err := http.Post(peer.url+"/v1/solve/batch", "application/json",
+			bytes.NewReader(mustJSON(t, mwl.BatchRequest{Problems: []mwl.Problem{tc.p}})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out mwl.BatchResponse
+		err = json.NewDecoder(resp2.Body).Decode(&out)
+		resp2.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Results) != 1 || out.Results[0].Infeasible != tc.infeasible || out.Results[0].Error == "" {
+			t.Fatalf("%s: forwarded batch result lost its classification: %+v", tc.name, out.Results)
+		}
+		if got := peer.cl.forwarded.Load() - forwarded; got != 2 {
+			t.Fatalf("%s: forwarded counter moved by %d, want 2 (both answers came from the owner)", tc.name, got)
+		}
 	}
 }
 

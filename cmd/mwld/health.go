@@ -2,13 +2,13 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // healthConfig tunes the cluster health checker.
@@ -222,39 +222,24 @@ func (h *healthChecker) up(addr string) bool {
 
 // writeMetrics appends per-peer health series to the Prometheus
 // exposition, one labelled sample per peer per family.
-func (h *healthChecker) writeMetrics(w io.Writer) {
+func (h *healthChecker) writeMetrics(w metrics.Writer) {
+	up := make(map[string]int64)
+	probes := make(map[string]uint64)
+	failures := make(map[string]uint64)
+	transitions := make(map[string]uint64)
 	h.mu.Lock()
-	type row struct {
-		addr string
-		ps   peerState
-	}
-	rows := make([]row, 0, len(h.peers))
 	for a, ps := range h.peers {
-		rows = append(rows, row{a, *ps})
+		up[a] = 0
+		if ps.up {
+			up[a] = 1
+		}
+		probes[a], failures[a], transitions[a] = ps.probes, ps.failures, ps.transitions
 	}
 	h.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].addr < rows[j].addr })
-
-	io.WriteString(w, "# HELP mwld_peer_up Whether the peer is currently believed reachable (1) or down (0).\n# TYPE mwld_peer_up gauge\n")
-	for _, r := range rows {
-		up := 0
-		if r.ps.up {
-			up = 1
-		}
-		fmt.Fprintf(w, "mwld_peer_up{peer=%q} %d\n", r.addr, up)
-	}
-	io.WriteString(w, "# HELP mwld_peer_probes_total Health observations recorded for the peer (probes plus request-path strikes).\n# TYPE mwld_peer_probes_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "mwld_peer_probes_total{peer=%q} %d\n", r.addr, r.ps.probes)
-	}
-	io.WriteString(w, "# HELP mwld_peer_probe_failures_total Failed health observations recorded for the peer.\n# TYPE mwld_peer_probe_failures_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "mwld_peer_probe_failures_total{peer=%q} %d\n", r.addr, r.ps.failures)
-	}
-	io.WriteString(w, "# HELP mwld_peer_transitions_total Up/down state flips recorded for the peer.\n# TYPE mwld_peer_transitions_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "mwld_peer_transitions_total{peer=%q} %d\n", r.addr, r.ps.transitions)
-	}
+	w.GaugeVec("mwld_peer_up", "Whether the peer is currently believed reachable (1) or down (0).", "peer", up)
+	w.CounterVec("mwld_peer_probes_total", "Health observations recorded for the peer (probes plus request-path strikes).", "peer", probes)
+	w.CounterVec("mwld_peer_probe_failures_total", "Failed health observations recorded for the peer.", "peer", failures)
+	w.CounterVec("mwld_peer_transitions_total", "Up/down state flips recorded for the peer.", "peer", transitions)
 }
 
 // attachHealth wires an active health checker over the cluster's remote

@@ -17,14 +17,18 @@
 //	GET  /v1/methods       registered method names with descriptions
 //	GET  /metrics          Prometheus text: solves, errors, latency
 //	                       histograms, cache/store counters, pool gauges,
-//	                       shard routing counters
+//	                       shard routing counters, all rendered through
+//	                       internal/metrics
 //	GET  /healthz          liveness probe
 //
 // With -peers (and -self), mwld runs as one replica of a cluster:
 // problems are sharded by their canonical hash with rendezvous hashing,
 // the owning replica computes and persists each solution, and the other
-// replicas proxy solves to the owner and relay its answer — falling
-// back to a local solve if the owner is unreachable. The cluster is
+// replicas forward each problem to the owner and answer with its
+// decoded solution, or its error under the owner's status — falling
+// back to a local solve if the owner is unreachable or its answer is
+// cut off. Single, batch and stream solves all take this one
+// per-problem path (cluster.solver). The cluster is
 // self-healing: each replica probes its peers' /healthz (-health-*) and
 // routes around a down owner before burning a connection timeout;
 // solved entries are replicated asynchronously to the next ranked
@@ -56,11 +60,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -136,7 +139,7 @@ func main() {
 		batchMax: *batchMax,
 		maxNodes: *maxNodes,
 		cluster:  cl,
-		adm:      newAdmission(svc, *queueDepth, *rate, *burst),
+		adm:      newAdmission(svc, cl, *queueDepth, *rate, *burst),
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -234,25 +237,21 @@ func newHandler(cfg handlerConfig) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, out)
 	})
-	// routed reports whether cluster routing applies to this request: it
-	// is off in single-replica mode and for requests a peer already
-	// forwarded (which must be answered locally, never bounced onward).
-	routed := func(r *http.Request) bool {
-		return cl != nil && r.Header.Get(forwardedHeader) == ""
-	}
-	// batchSolve is the per-problem solve of the batch endpoints:
-	// straight through the service, shard-routed in cluster mode, or —
-	// for requests a peer already forwarded here — a local solve that is
-	// still read-through-aware, so a forward rerouted past a dead owner
-	// serves the replicated copy instead of recomputing it.
-	batchSolve := func(r *http.Request) func(context.Context, mwl.Problem) (mwl.Solution, error) {
-		if cl == nil {
-			return nil // SolveBatchVia defaults to svc.Solve
-		}
-		if routed(r) {
+	// solveFunc is the per-problem solve of every solve endpoint:
+	// straight through the service on a single replica, shard-routed in
+	// cluster mode, or — for requests a peer already forwarded here,
+	// which must be answered locally, never bounced onward — a local
+	// solve that is still read-through-aware, so a forward rerouted past
+	// a dead owner serves the replicated copy instead of recomputing it.
+	solveFunc := func(r *http.Request) func(context.Context, mwl.Problem) (mwl.Solution, error) {
+		switch {
+		case cl == nil:
+			return svc.Solve
+		case r.Header.Get(forwardedHeader) == "":
 			return cl.solver(svc)
+		default:
+			return cl.localSolver(svc)
 		}
-		return cl.localSolver(svc)
 	}
 	// admitSize enforces the per-problem node cap; a violation is the
 	// same class of refusal as an oversized batch (413 with JSON body).
@@ -304,42 +303,15 @@ func newHandler(cfg handlerConfig) http.Handler {
 		if !cfg.adm.admit(w, r) {
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-			return
-		}
 		var p mwl.Problem
-		if err := decodeJSON(body, &p); err != nil {
+		if err := decodeBody(w, r, maxBody, &p); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		if !admitSize(w, p) {
 			return
 		}
-		if cl == nil {
-			sol, err := svc.Solve(r.Context(), p)
-			writeSolve(w, sol, err)
-			return
-		}
-		trueOwner := cl.owner(p)
-		if routed(r) && trueOwner != "" {
-			// Route to the first live ranked replica: the true owner when
-			// it is healthy, otherwise its failover successor — skipping a
-			// known-down owner before burning a connection timeout on it.
-			if target := cl.target(p); target != "" && target != cl.self {
-				if target != trueOwner {
-					cl.rerouted.Add(1)
-				}
-				if cl.relay(w, r, target, body) {
-					return
-				}
-				cl.fallback.Add(1)
-			} else {
-				cl.routeCounters(target, trueOwner)
-			}
-		}
-		sol, err := cl.serveLocal(r.Context(), svc, p, trueOwner)
+		sol, err := solveFunc(r)(r.Context(), p)
 		writeSolve(w, sol, err)
 	})
 	// The internal solution endpoints are the cluster's replication
@@ -398,7 +370,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 			return
 		}
 		out := make([]mwl.BatchResult, len(req.Problems))
-		svc.SolveBatchVia(r.Context(), req.Problems, batchSolve(r), func(i int, res mwl.BatchResult) {
+		svc.SolveBatchVia(r.Context(), req.Problems, solveFunc(r), func(i int, res mwl.BatchResult) {
 			out[i] = res
 		})
 		// Per-problem failures ride inside the 200 response; only a
@@ -431,7 +403,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 		// result the moment its solve completes, not when the batch ends.
 		// A client disconnect cancels r.Context(), which stops unstarted
 		// solves and aborts in-flight ones.
-		svc.SolveBatchVia(r.Context(), req.Problems, batchSolve(r), func(i int, res mwl.BatchResult) {
+		svc.SolveBatchVia(r.Context(), req.Problems, solveFunc(r), func(i int, res mwl.BatchResult) {
 			if err := enc.Encode(mwl.WireStream(i, res)); err != nil {
 				return // client gone; ctx cancellation drains the rest
 			}
@@ -442,12 +414,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, svc.Metrics())
-		fmt.Fprintf(w, "# HELP mwld_queue_depth Solves waiting for a worker slot right now.\n# TYPE mwld_queue_depth gauge\nmwld_queue_depth %d\n", svc.Queued())
-		cfg.adm.writeMetrics(w)
-		if cl != nil {
-			cl.writeShardMetrics(w)
-		}
+		writeMetrics(w, svc.Metrics(), mwl.PortfolioWins(), cfg.adm, cl)
 	})
 	return mux
 }
@@ -459,13 +426,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, maxBody int64, v any) er
 	if err != nil {
 		return fmt.Errorf("reading request: %w", err)
 	}
-	return decodeJSON(body, v)
-}
-
-// decodeJSON decodes one already-read JSON document, rejecting trailing
-// garbage. The single-solve endpoint reads its body up front so cluster
-// mode can relay the raw bytes to the owner verbatim.
-func decodeJSON(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
@@ -476,100 +436,63 @@ func decodeJSON(body []byte, v any) error {
 	return nil
 }
 
-// writeMetrics renders a Service metrics snapshot in the Prometheus
-// text exposition format (expfmt), with no dependency on a client
-// library: counters, per-method latency histograms, cache/store
-// counters and worker-pool gauges.
-func writeMetrics(w io.Writer, m mwl.Metrics) {
-	bounds := mwl.LatencyBucketBounds()
-
-	fmt.Fprintln(w, "# HELP mwld_solves_total Solver runs by method (cache hits excluded).")
-	fmt.Fprintln(w, "# TYPE mwld_solves_total counter")
-	for _, mm := range m.Methods {
-		fmt.Fprintf(w, "mwld_solves_total{method=%q} %d\n", mm.Method, mm.Solves)
+// writeMetrics renders /metrics in the Prometheus text exposition
+// format: the Service snapshot m (per-method counters and latency
+// histograms, cache/store counters, pool and queue gauges) and the
+// portfolio wins, then the admission and cluster series when those are
+// configured.
+func writeMetrics(out io.Writer, m mwl.Metrics, wins map[string]uint64, adm *admission, cl *cluster) {
+	w := metrics.NewWriter(out)
+	var bounds []float64
+	for _, b := range mwl.LatencyBucketBounds() {
+		bounds = append(bounds, b.Seconds())
 	}
-	fmt.Fprintln(w, "# HELP mwld_solve_errors_total Failed solver runs by method, cancellations included.")
-	fmt.Fprintln(w, "# TYPE mwld_solve_errors_total counter")
+	solves := make(map[string]uint64, len(m.Methods))
+	errs := make(map[string]uint64, len(m.Methods))
+	latency := make(map[string]metrics.HistogramSeries, len(m.Methods))
 	for _, mm := range m.Methods {
-		fmt.Fprintf(w, "mwld_solve_errors_total{method=%q} %d\n", mm.Method, mm.Errors)
+		solves[mm.Method] = mm.Solves
+		errs[mm.Method] = mm.Errors
+		latency[mm.Method] = metrics.HistogramSeries{Buckets: mm.Buckets, Sum: mm.LatencySum.Seconds()}
 	}
-	fmt.Fprintln(w, "# HELP mwld_solve_duration_seconds Solve wall-clock latency by method.")
-	fmt.Fprintln(w, "# TYPE mwld_solve_duration_seconds histogram")
-	for _, mm := range m.Methods {
-		for i, le := range bounds {
-			fmt.Fprintf(w, "mwld_solve_duration_seconds_bucket{method=%q,le=%q} %d\n",
-				mm.Method, promFloat(le.Seconds()), mm.Buckets[i])
-		}
-		fmt.Fprintf(w, "mwld_solve_duration_seconds_bucket{method=%q,le=\"+Inf\"} %d\n",
-			mm.Method, mm.Buckets[len(mm.Buckets)-1])
-		fmt.Fprintf(w, "mwld_solve_duration_seconds_sum{method=%q} %s\n",
-			mm.Method, promFloat(mm.LatencySum.Seconds()))
-		fmt.Fprintf(w, "mwld_solve_duration_seconds_count{method=%q} %d\n",
-			mm.Method, mm.Buckets[len(mm.Buckets)-1])
-	}
+	w.CounterVec("mwld_solves_total", "Solver runs by method (cache hits excluded).", "method", solves)
+	w.CounterVec("mwld_solve_errors_total", "Failed solver runs by method, cancellations included.", "method", errs)
+	w.Histogram("mwld_solve_duration_seconds", "Solve wall-clock latency by method.", "method", bounds, latency)
 
 	c := m.Cache
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"mwld_cache_hits_total", "Solves served from the in-memory cache or by joining an in-flight duplicate.", c.Hits},
-		{"mwld_cache_misses_total", "Solves that appointed a leader (ran the solver or hit the store).", c.Misses},
-		{"mwld_cache_evictions_total", "LRU entries dropped to enforce the entry/byte caps.", c.Evictions},
-		{"mwld_store_hits_total", "Persistent-store hits on cache misses.", c.StoreHits},
-		{"mwld_store_misses_total", "Persistent-store misses on cache misses.", c.StoreMisses},
-		{"mwld_store_put_errors_total", "Failed persistent-store write-throughs (best-effort).", c.StorePutErrors},
-		{"mwld_verify_failures_total", "Solutions rejected by mwl.Verify (corrupted store entries and misbehaving solvers).", c.VerifyFailures},
-	}
-	for _, ct := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", ct.name, ct.help, ct.name, ct.name, ct.v)
-	}
-	if wins := mwl.PortfolioWins(); len(wins) > 0 {
-		fmt.Fprintln(w, "# HELP mwld_portfolio_wins_total Portfolio race wins by method.")
-		fmt.Fprintln(w, "# TYPE mwld_portfolio_wins_total counter")
-		names := make([]string, 0, len(wins))
-		for name := range wins {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "mwld_portfolio_wins_total{method=%q} %d\n", name, wins[name])
-		}
-	}
-	gauges := []struct {
-		name, help string
-		v          int64
-	}{
-		{"mwld_cache_entries", "Solutions held in the in-memory LRU.", int64(c.Entries)},
-		{"mwld_cache_bytes", "Approximate in-memory LRU footprint in bytes.", c.Bytes},
-		{"mwld_inflight_solves", "Solves currently running or joinable by duplicates.", int64(c.InFlight)},
-		{"mwld_workers", "Worker-pool size.", int64(m.Workers)},
-		{"mwld_workers_busy", "Worker-pool slots occupied right now.", int64(m.WorkersBusy)},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
+	w.Counter("mwld_cache_hits_total", "Solves served from the in-memory cache or by joining an in-flight duplicate.", c.Hits)
+	w.Counter("mwld_cache_misses_total", "Solves that appointed a leader (ran the solver or hit the store).", c.Misses)
+	w.Counter("mwld_cache_evictions_total", "LRU entries dropped to enforce the entry/byte caps.", c.Evictions)
+	w.Counter("mwld_store_hits_total", "Persistent-store hits on cache misses.", c.StoreHits)
+	w.Counter("mwld_store_misses_total", "Persistent-store misses on cache misses.", c.StoreMisses)
+	w.Counter("mwld_store_put_errors_total", "Failed persistent-store write-throughs (best-effort).", c.StorePutErrors)
+	w.Counter("mwld_verify_failures_total", "Solutions rejected by mwl.Verify (corrupted store entries and misbehaving solvers).", c.VerifyFailures)
+	w.CounterVec("mwld_portfolio_wins_total", "Portfolio race wins by method.", "method", wins)
+	w.Gauge("mwld_cache_entries", "Solutions held in the in-memory LRU.", int64(c.Entries))
+	w.Gauge("mwld_cache_bytes", "Approximate in-memory LRU footprint in bytes.", c.Bytes)
+	w.Gauge("mwld_inflight_solves", "Solves currently running or joinable by duplicates.", int64(c.InFlight))
+	w.Gauge("mwld_workers", "Worker-pool size.", int64(m.Workers))
+	w.Gauge("mwld_workers_busy", "Worker-pool slots occupied right now.", int64(m.WorkersBusy))
+	w.Gauge("mwld_queue_depth", "Solves waiting for a worker slot right now.", int64(m.Queued))
+
+	adm.writeMetrics(w)
+	if cl != nil {
+		cl.writeShardMetrics(w)
 	}
 }
 
-// promFloat renders a float the way Prometheus text format expects:
-// plain decimal, no exponent for the magnitudes we emit.
-func promFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	// %g may pick exponent form for 1e-05 etc.; none of our bucket
-	// bounds need it, but normalise defensively.
-	if strings.ContainsAny(s, "eE") {
-		s = fmt.Sprintf("%f", f)
-	}
-	return s
-}
-
-// solveStatus maps solve errors onto HTTP statuses: unknown methods and
-// malformed problems are the client's fault (400); infeasible
-// constraints are a well-formed problem with no answer (422); a
-// canceled request gets 499 in the access-log sense (the client is
-// gone either way); anything else is a solver-internal fault (500).
+// solveStatus maps solve errors onto HTTP statuses: an owner replica's
+// verdict on a forwarded solve keeps the owner's status; unknown
+// methods and malformed problems are the client's fault (400);
+// infeasible constraints are a well-formed problem with no answer
+// (422); a canceled request gets 499 in the access-log sense (the
+// client is gone either way); anything else is a solver-internal fault
+// (500).
 func solveStatus(err error) int {
+	var pe *peerError
 	switch {
+	case errors.As(err, &pe):
+		return pe.status
 	case errors.Is(err, mwl.ErrUnknownMethod), errors.Is(err, mwl.ErrInvalidProblem),
 		errors.Is(err, mwl.ErrVerify):
 		return http.StatusBadRequest

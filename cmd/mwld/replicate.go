@@ -13,6 +13,7 @@ import (
 	"time"
 
 	mwl "repro"
+	"repro/internal/metrics"
 )
 
 // repJob is one solved entry queued for replication.
@@ -150,17 +151,9 @@ func (r *replicator) put(addr, key string, sol mwl.Solution) error {
 
 // writeMetrics appends the replication series to the Prometheus
 // exposition.
-func (r *replicator) writeMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP mwld_replication_pending Solved entries queued for replication but not yet written to peers.\n# TYPE mwld_replication_pending gauge\nmwld_replication_pending %d\n", r.pending())
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"mwld_replicate_sent_total", "Successful replica writes of solved entries to peers.", r.sent.Load()},
-		{"mwld_replicate_errors_total", "Failed replica writes of solved entries to peers.", r.errs.Load()},
-		{"mwld_replicate_dropped_total", "Solved entries not replicated because the replication queue was full.", r.dropped.Load()},
-	}
-	for _, ct := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", ct.name, ct.help, ct.name, ct.name, ct.v)
-	}
+func (r *replicator) writeMetrics(w metrics.Writer) {
+	w.Gauge("mwld_replication_pending", "Solved entries queued for replication but not yet written to peers.", int64(r.pending()))
+	w.Counter("mwld_replicate_sent_total", "Successful replica writes of solved entries to peers.", r.sent.Load())
+	w.Counter("mwld_replicate_errors_total", "Failed replica writes of solved entries to peers.", r.errs.Load())
+	w.Counter("mwld_replicate_dropped_total", "Solved entries not replicated because the replication queue was full.", r.dropped.Load())
 }

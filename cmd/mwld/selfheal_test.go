@@ -326,7 +326,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	gate := make(chan struct{})
 	setBlockGate(gate)
 	svc := mwl.NewService(1)
-	adm := newAdmission(svc, 2, 0, 0)
+	adm := newAdmission(svc, nil, 2, 0, 0)
 	srv := httptest.NewServer(newHandler(handlerConfig{svc: svc, maxBody: 1 << 20, adm: adm}))
 	defer srv.Close()
 
@@ -377,10 +377,14 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 
 // TestRateLimitPerClient: the token bucket refuses a client's burst
 // overflow with 429 and a whole-second Retry-After, keeps clients
-// independent, and exempts peer-forwarded requests (the originating
-// peer's client already paid there).
+// independent, and exempts requests forwarded by a configured peer
+// (the originating peer's client already paid there).
 func TestRateLimitPerClient(t *testing.T) {
-	adm := newAdmission(mwl.NewService(1), 0, 1, 1)
+	cl, err := newCluster("self:1,peer:1", "self:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm := newAdmission(mwl.NewService(1), cl, 0, 1, 1)
 
 	mk := func(remote string, forwarded bool) *http.Request {
 		r := httptest.NewRequest("POST", "/v1/solve", nil)
@@ -409,8 +413,45 @@ func TestRateLimitPerClient(t *testing.T) {
 	if !adm.admit(httptest.NewRecorder(), mk("10.0.0.1:4444", true)) {
 		t.Fatal("peer-forwarded request rate limited")
 	}
-	if got := adm.limited.Load(); got != 1 {
-		t.Fatalf("limited counter = %d, want 1", got)
+	for _, from := range []string{"http://self:1", "http://stranger:1"} {
+		r := mk("10.0.0.1:5555", false)
+		r.Header.Set(forwardedHeader, from)
+		if adm.admit(httptest.NewRecorder(), r) {
+			t.Fatalf("request claiming to be forwarded by %s bypassed the rate limit", from)
+		}
+	}
+	if got := adm.limited.Load(); got != 3 {
+		t.Fatalf("limited counter = %d, want 3", got)
+	}
+}
+
+// TestForwardedHeaderDoesNotBypassRateLimit: a single replica has no
+// peers, so a client that sets the forwarded header itself is rate
+// limited like any other.
+func TestForwardedHeaderDoesNotBypassRateLimit(t *testing.T) {
+	svc := mwl.NewService(1)
+	srv := httptest.NewServer(newHandler(handlerConfig{svc: svc, maxBody: 1 << 20, adm: newAdmission(svc, nil, 0, 1, 1)}))
+	defer srv.Close()
+	g := mwl.Fig1Graph()
+	lmin, err := mwl.MinLambda(g, mwl.DefaultLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := mustJSON(t, mwl.Problem{Graph: g, Lambda: lmin + 2})
+	for i, want := range []int{http.StatusOK, http.StatusTooManyRequests} {
+		req, err := http.NewRequest("POST", srv.URL+"/v1/solve", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(forwardedHeader, "http://peer:1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("request %d with a forwarded header: status %d, want %d", i+1, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -541,9 +582,10 @@ func TestForwardTruncationFallsBack(t *testing.T) {
 	}
 }
 
-// TestRelayMidBodyErrorCounted: a relay whose owner connection dies
-// after the status line is on the wire still counts as forwarded, but
-// the truncation is logged and counted instead of passing for success.
+// TestRelayMidBodyErrorCounted: a forward whose owner connection dies
+// mid-body is counted as a relay error and falls back to a local
+// solve, so the client still gets a whole, legal answer instead of half
+// a 200.
 func TestRelayMidBodyErrorCounted(t *testing.T) {
 	reps := startCluster(t, 2)
 	g := mwl.Fig1Graph()
@@ -556,8 +598,8 @@ func TestRelayMidBodyErrorCounted(t *testing.T) {
 	owner, peer := splitByOwner(t, reps, p)
 
 	// Replace the owner with a stub that promises a large body and
-	// delivers a fraction of it: the peer's copy loop hits an unexpected
-	// EOF mid-relay.
+	// delivers a fraction of it: the forwarder's body read hits an
+	// unexpected EOF.
 	addr := strings.TrimPrefix(owner.url, "http://")
 	owner.srv.Close()
 	ln, err := net.Listen("tcp", addr)
@@ -572,18 +614,21 @@ func TestRelayMidBodyErrorCounted(t *testing.T) {
 	go truncating.Serve(ln)
 	t.Cleanup(func() { truncating.Close() })
 
-	resp, err := http.Post(peer.url+"/v1/solve", "application/json", bytes.NewReader(mustJSON(t, p)))
-	if err == nil {
-		resp.Body.Close()
+	resp, sol := postProblem(t, peer.url, p)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d with a truncating owner, want 200 local fallback", resp.StatusCode)
 	}
-	waitFor(t, "relay error counter", func() bool {
-		return peer.cl.relayErrors.Load() == 1
-	})
-	if got := peer.cl.forwarded.Load(); got != 1 {
-		t.Fatalf("forwarded counter = %d, want 1 (status line reached the client)", got)
+	if err := mwl.Verify(p, sol); err != nil {
+		t.Fatalf("fallback solution fails mwl.Verify: %v", err)
 	}
-	if got := peer.cl.fallback.Load(); got != 0 {
-		t.Fatalf("fallback counter = %d, want 0", got)
+	if got := peer.cl.relayErrors.Load(); got != 1 {
+		t.Fatalf("relay error counter = %d, want 1", got)
+	}
+	if got := peer.cl.fallback.Load(); got != 1 {
+		t.Fatalf("fallback counter = %d, want 1", got)
+	}
+	if got := peer.cl.forwarded.Load(); got != 0 {
+		t.Fatalf("forwarded counter = %d, want 0 (the owner's answer never reached the client)", got)
 	}
 }
 

@@ -36,5 +36,6 @@ type Record struct {
 	Name string
 }
 
-// Header registers a counter without the _total suffix: metricname.
+// Header hand-writes exposition instead of using metrics.Writer:
+// metricname.
 const Header = "# TYPE mwld_requests counter\n"
