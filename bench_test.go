@@ -454,7 +454,7 @@ func BenchmarkTwoStage(b *testing.B) {
 // beyond the paper's 24-operation range.
 func BenchmarkAllocateScaling(b *testing.B) {
 	lib := mwl.DefaultLibrary()
-	for _, n := range []int{10, 25, 50, 100, 500, 1000} {
+	for _, n := range []int{10, 25, 50, 100, 500, 1000, 2000} {
 		graphs, err := tgff.Batch(n, 3, benchSeed, tgff.Config{})
 		if err != nil {
 			b.Fatal(err)

@@ -8,7 +8,9 @@
 //	benchjson compare -threshold 25 -match '^BenchmarkTable2|^BenchmarkFig' baseline.json BENCH.json
 //
 // parse reads benchmark output from a file argument or stdin and writes
-// the JSON report (stdout by default). compare exits non-zero when any
+// the JSON report (stdout by default). Repeated result lines for one
+// benchmark (`-count N`) are folded into a single entry holding the
+// per-unit median and the sample count. compare exits non-zero when any
 // matched benchmark's ns/op regressed by more than the threshold
 // percentage; a missing baseline file is a graceful no-op so the gate
 // passes on the first run ever.
@@ -20,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -34,12 +37,16 @@ type Report struct {
 	Goarch     string               `json:"goarch,omitempty"`
 	Pkg        string               `json:"pkg,omitempty"`
 	CPU        string               `json:"cpu,omitempty"`
+	GOMAXPROCS int                  `json:"gomaxprocs,omitempty"` // from the result names' -N suffix; 0 without one
 	Benchmarks map[string]Benchmark `json:"benchmarks"`
 }
 
-// Benchmark is one `go test -bench` result line. Metrics carries the
-// custom b.ReportMetric units (penalty-%, capped, mean-area, …).
+// Benchmark is one benchmark's result: with a single result line its
+// values, with repeated lines the median of each unit across them.
+// Metrics carries the custom b.ReportMetric units (penalty-%, capped,
+// mean-area, …).
 type Benchmark struct {
+	Samples     int                `json:"samples"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -122,6 +129,7 @@ func runParse(args []string) error {
 // parseBench reads `go test -bench` output into a Report.
 func parseBench(r io.Reader) (*Report, error) {
 	rep := &Report{Schema: 1, Benchmarks: map[string]Benchmark{}}
+	samples := map[string][]Benchmark{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -141,11 +149,62 @@ func parseBench(r io.Reader) (*Report, error) {
 			continue
 		}
 		name, b, ok := parseLine(line)
-		if ok {
-			rep.Benchmarks[name] = b
+		if !ok {
+			continue
 		}
+		if m := cpuSuffix.FindString(strings.Fields(line)[0]); m != "" {
+			rep.GOMAXPROCS, _ = strconv.Atoi(m[1:])
+		}
+		samples[name] = append(samples[name], b)
+	}
+	for name, bs := range samples {
+		rep.Benchmarks[name] = medianOf(bs)
 	}
 	return rep, sc.Err()
+}
+
+// medianOf folds repeated samples of one benchmark into one entry: the
+// median of every unit (the mean of the middle two for an even count)
+// and the sample count. A custom metric is folded over the samples that
+// report it.
+func medianOf(bs []Benchmark) Benchmark {
+	unit := func(get func(Benchmark) float64) float64 {
+		vs := make([]float64, len(bs))
+		for i, b := range bs {
+			vs[i] = get(b)
+		}
+		return median(vs)
+	}
+	out := Benchmark{
+		Samples:     len(bs),
+		Iterations:  int64(math.Round(unit(func(b Benchmark) float64 { return float64(b.Iterations) }))),
+		NsPerOp:     unit(func(b Benchmark) float64 { return b.NsPerOp }),
+		BytesPerOp:  unit(func(b Benchmark) float64 { return b.BytesPerOp }),
+		AllocsPerOp: unit(func(b Benchmark) float64 { return b.AllocsPerOp }),
+	}
+	metrics := map[string][]float64{}
+	for _, b := range bs {
+		for k, v := range b.Metrics {
+			metrics[k] = append(metrics[k], v)
+		}
+	}
+	for k, vs := range metrics {
+		if out.Metrics == nil {
+			out.Metrics = map[string]float64{}
+		}
+		out.Metrics[k] = median(vs)
+	}
+	return out
+}
+
+// median sorts vs in place and returns its median.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // parseLine decodes one result line:

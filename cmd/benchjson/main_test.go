@@ -156,3 +156,30 @@ func TestCompareReportsNoiseFloor(t *testing.T) {
 		t.Fatalf("report: %s", report)
 	}
 }
+
+func TestParseBenchFoldsRepeatedSamples(t *testing.T) {
+	const in = `cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkAllocateScaling/N=100-2   	 20	  50000000 ns/op	 700000 B/op	 4000 allocs/op	 3.0 mean-area
+BenchmarkAllocateScaling/N=100-2   	 22	  90000000 ns/op	 600000 B/op	 4200 allocs/op	 1.0 mean-area
+BenchmarkAllocateScaling/N=100-2   	 24	  60000000 ns/op	 800000 B/op	 4100 allocs/op	 2.0 mean-area
+BenchmarkOnce-2                    	  1	      1000 ns/op
+`
+	rep, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GOMAXPROCS != 2 {
+		t.Fatalf("gomaxprocs = %d, want 2", rep.GOMAXPROCS)
+	}
+	b := rep.Benchmarks["BenchmarkAllocateScaling/N=100"]
+	if b.Samples != 3 || b.Iterations != 22 || b.NsPerOp != 60000000 || b.BytesPerOp != 700000 ||
+		b.AllocsPerOp != 4100 || b.Metrics["mean-area"] != 2 {
+		t.Fatalf("want the per-unit median of 3 samples, got %+v", b)
+	}
+	if once := rep.Benchmarks["BenchmarkOnce"]; once.Samples != 1 || once.NsPerOp != 1000 {
+		t.Fatalf("single sample: %+v", once)
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Fatalf("even-count median = %v, want 2.5", got)
+	}
+}

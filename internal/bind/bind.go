@@ -13,6 +13,15 @@
 // on the interval order), the kind maximising |clique|/cost is selected,
 // and — compensating the greed — each newly selected clique is grown to
 // swallow previously selected cliques where Eqn. 4 permits.
+//
+// The binder runs once per round of DPAlloc's refinement loop, so its
+// working memory lives in a Scratch that lasts one solve: the caller
+// creates it when the solve starts, passes it to every round, and drops
+// it when the solve returns. A Binding from Scratch.Select aliases that
+// memory and is valid until the scratch's next Select call; callers
+// that keep a binding past the round copy it (core converts only the
+// returned round into a datapath). Select, SelectOpt and SelectStats
+// are the one-shot forms whose Binding owns its memory.
 package bind
 
 import (
@@ -42,7 +51,7 @@ type Binding struct {
 func (b *Binding) Area(g *wcg.Graph) int64 {
 	var a int64
 	for _, k := range b.Cliques {
-		a += g.Lib.Area(g.Kinds[k.Kind])
+		a += g.KindArea(k.Kind)
 	}
 	return a
 }
@@ -54,6 +63,20 @@ func (b *Binding) KindOf(o dfg.OpID) int { return b.Cliques[b.CliqueOf[o]].Kind 
 // bound to.
 func (b *Binding) BoundLatency(g *wcg.Graph, o dfg.OpID) int {
 	return g.KindLatency(b.KindOf(o))
+}
+
+// Makespan returns the overall latency of the schedule under the bound
+// latencies: the last completion step max_o start[o] + ℓ(o). It equals
+// the Makespan of the datapath the binding converts to, without building
+// that datapath.
+func (b *Binding) Makespan(g *wcg.Graph, start []int) int {
+	m := 0
+	for o, ci := range b.CliqueOf {
+		if f := start[o] + g.KindLatency(b.Cliques[ci].Kind); f > m {
+			m = f
+		}
+	}
+	return m
 }
 
 // Options tunes BindSelect for the ablation benches.
@@ -117,20 +140,58 @@ func betterEntry(a, b kindEntry) bool {
 	return a.ki < b.ki
 }
 
-// SelectStats is SelectOpt, additionally reporting effort counters.
+// SelectStats is SelectOpt, additionally reporting effort counters. It
+// is the one-shot form of Scratch.Select: the Binding owns its memory.
 func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error) {
+	var s Scratch
+	return s.Select(g, start, opt)
+}
+
+// Scratch is the binder's solve-scoped scratch: the reserved intervals,
+// coverage flags, counting-sort buffers, per-kind interval lists, the
+// selection heap, the clique chains and the Binding itself. A refinement
+// loop hands one Scratch to every round of a solve, so once the buffers
+// reach their high-water mark a round allocates nothing. The Binding
+// returned by Select aliases the scratch and stays valid only until the
+// next call. A Scratch serves one goroutine at a time; the zero value
+// is ready to use.
+type Scratch struct {
+	iv        []wcg.Interval
+	covered   []bool
+	perm, tmp []dfg.OpID
+	cnt       []int
+	buf       []wcg.Interval   // backing array of sortedOps
+	sortedOps [][]wcg.Interval // per kind: compatible ops in interval order
+	endK      []int
+	sizeK     []int
+	chain     []wcg.Interval
+	heap      entryHeap
+	cliques   []liveClique
+	free      [][]wcg.Interval // retired clique chains, reused by later cliques
+	merge     []wcg.Interval   // growth's merge target
+	out       []Clique
+	ops       []dfg.OpID // backing array of the cliques' Ops
+	b         Binding
+}
+
+// Select runs Algorithm BindSelect with the scratch's buffers; see
+// SelectOpt. The Binding aliases the scratch until the next call.
+func (s *Scratch) Select(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error) {
 	var st Stats
 	n := g.D.N()
 	if len(start) != n {
 		return nil, st, fmt.Errorf("bind: %d start steps for %d operations", len(start), n)
 	}
-	iv := make([]wcg.Interval, n)
+	s.iv = resize(s.iv, n)
+	iv := s.iv
 	for o := 0; o < n; o++ {
 		id := dfg.OpID(o)
 		iv[o] = wcg.Interval{Op: id, Start: start[o], End: start[o] + g.UpperLatency(id)}
 	}
 
-	covered := make([]bool, n)
+	s.covered = resize(s.covered, n)
+	covered := s.covered
+	clear(covered)
 	remaining := n
 
 	// The reserved intervals are fixed for the whole selection, so the
@@ -140,13 +201,15 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 	// plus one append per H edge yields every kind's compatible
 	// operations in interval order, and every later chain extraction is
 	// a linear greedy walk with no sorting.
-	perm := sortByInterval(iv)
-	buf := make([]wcg.Interval, g.NumHEdges())
-	sortedOps := make([][]wcg.Interval, len(g.Kinds))
+	perm := s.sortByInterval(iv)
+	nk := len(g.Kinds)
+	s.buf = resize(s.buf, g.NumHEdges())
+	s.sortedOps = resize(s.sortedOps, nk)
+	sortedOps := s.sortedOps
 	off := 0
 	for ki := range sortedOps {
 		c := g.CompatOpCount(ki)
-		sortedOps[ki] = buf[off : off : off+c]
+		sortedOps[ki] = s.buf[off : off : off+c]
 		off += c
 	}
 	// The exact initial maximum-chain size of every kind falls out of the
@@ -155,8 +218,11 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 	// seeding costs nothing beyond the distribution itself. The interval
 	// itself is stored in the kind's list (not just the ID): the chain
 	// walks below then run over contiguous memory with no random loads.
-	endK := make([]int, len(g.Kinds))
-	sizeK := make([]int, len(g.Kinds))
+	s.endK = resize(s.endK, nk)
+	s.sizeK = resize(s.sizeK, nk)
+	endK, sizeK := s.endK, s.sizeK
+	clear(endK)
+	clear(sizeK)
 	for _, o := range perm {
 		v := iv[o]
 		for _, ki := range g.CompatKinds(o) {
@@ -175,7 +241,7 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 	// Coverage is monotone, so covered operations are compacted out of
 	// the kind's list as a side effect: repeated evaluations of the same
 	// kind walk only its still-uncovered operations.
-	chain := make([]wcg.Interval, 0, n)
+	chain := s.chain[:0]
 	chainFor := func(ki int) []wcg.Interval {
 		chain = chain[:0]
 		ops := sortedOps[ki]
@@ -199,16 +265,21 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 		return chain
 	}
 
-	var heap entryHeap
+	// The selection order is strict and total, so the heap's shape never
+	// affects which entry is on top: the initial heap is built by an
+	// O(|R|) heapify over the cached kind areas.
+	heap := s.heap[:0]
 	for ki, c := range sizeK {
 		if c > 0 {
-			heap.push(kindEntry{ki: ki, size: c, cost: kindArea(g, ki)})
+			heap = append(heap, kindEntry{ki: ki, size: c, cost: g.KindArea(ki)})
 			st.Evals++
 		}
 	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		heap.down(i)
+	}
 
-	var cliques []liveClique
-	var mergeScratch []wcg.Interval
+	cliques := s.cliques[:0]
 	for remaining > 0 {
 		if len(heap) == 0 {
 			return nil, st, fmt.Errorf("bind: %d operations have no compatible kind", remaining)
@@ -222,13 +293,13 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 			heap.push(kindEntry{ki: e.ki, size: len(chain), cost: e.cost})
 			continue
 		}
-		k := liveClique{kind: e.ki, ivs: slices.Clone(chain)}
+		k := liveClique{kind: e.ki, ivs: append(s.takeChain(), chain...)}
 		for _, c := range chain {
 			covered[c.Op] = true
 			remaining--
 		}
 		if !opt.DisableGrowth {
-			cliques = grow(g, cliques, &k, &mergeScratch, &st)
+			cliques = s.grow(g, cliques, &k, &st)
 		}
 		cliques = append(cliques, k)
 		// The kind may still have uncovered (overlapping) operations and
@@ -238,29 +309,50 @@ func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error
 		// empty chain and drops out when popped.
 		heap.push(kindEntry{ki: e.ki, size: e.size, cost: e.cost})
 	}
+	s.heap, s.chain = heap, chain
 
-	out := make([]Clique, len(cliques))
+	// Every operation is in exactly one clique, so the cliques' sorted
+	// member lists tile one n-element array.
+	s.out = resize(s.out, len(cliques))
+	s.ops = resize(s.ops, n)
+	out := s.out
+	off = 0
 	for ci, lc := range cliques {
-		ops := make([]dfg.OpID, len(lc.ivs))
+		ops := s.ops[off : off+len(lc.ivs) : off+len(lc.ivs)]
+		off += len(lc.ivs)
 		for i, v := range lc.ivs {
 			ops[i] = v.Op
 		}
 		slices.Sort(ops)
 		out[ci] = Clique{Kind: lc.kind, Ops: ops}
+		s.free = append(s.free, lc.ivs)
 	}
+	s.cliques = cliques[:0]
 	if !opt.DisableShrink {
 		for i := range out {
 			out[i].Kind = cheapestCommonKind(g, out[i].Ops)
 		}
 	}
 
-	b := &Binding{Cliques: out, CliqueOf: make([]int, n)}
+	s.b.Cliques = out
+	s.b.CliqueOf = resize(s.b.CliqueOf, n)
 	for ci, k := range out {
 		for _, o := range k.Ops {
-			b.CliqueOf[o] = ci
+			s.b.CliqueOf[o] = ci
 		}
 	}
-	return b, st, nil
+	return &s.b, st, nil
+}
+
+// takeChain returns an empty interval slice for a new clique, reusing a
+// retired chain's capacity when one is available.
+func (s *Scratch) takeChain() []wcg.Interval {
+	if k := len(s.free); k > 0 {
+		c := s.free[k-1][:0]
+		s.free = s.free[:k-1]
+		return c
+	}
+	return nil
 }
 
 // liveClique is a clique under construction: the kind paid for and the
@@ -293,23 +385,26 @@ func (h *entryHeap) pop() kindEntry {
 	last := len(a) - 1
 	a[0] = a[last]
 	*h = a[:last]
-	a = a[:last]
-	for i := 0; ; {
+	h.down(0)
+	return top
+}
+
+func (h entryHeap) down(i int) {
+	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(a) && betterEntry(a[l], a[m]) {
+		if l < len(h) && betterEntry(h[l], h[m]) {
 			m = l
 		}
-		if r < len(a) && betterEntry(a[r], a[m]) {
+		if r < len(h) && betterEntry(h[r], h[m]) {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
-		a[i], a[m] = a[m], a[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return top
 }
 
 // betterRatio reports whether size1/cost1 > size2/cost2, breaking ties by
@@ -323,8 +418,6 @@ func betterRatio(size1 int, cost1 int64, size2 int, cost2 int64) bool {
 	}
 	return cost1 < cost2
 }
-
-func kindArea(g *wcg.Graph, ki int) int64 { return g.Lib.Area(g.Kinds[ki]) }
 
 // cmpInterval is the MaxChain sort order: end, then start, then op ID.
 func cmpInterval(a, b wcg.Interval) int {
@@ -342,7 +435,7 @@ func cmpInterval(a, b wcg.Interval) int {
 // end, seeded with ID-ascending order so ties resolve by ID). Start and
 // end values are bounded by the schedule makespan, so this is O(n +
 // makespan) with no comparator calls.
-func sortByInterval(iv []wcg.Interval) []dfg.OpID {
+func (s *Scratch) sortByInterval(iv []wcg.Interval) []dfg.OpID {
 	n := len(iv)
 	maxKey := 0
 	for _, v := range iv {
@@ -350,9 +443,11 @@ func sortByInterval(iv []wcg.Interval) []dfg.OpID {
 			maxKey = v.End
 		}
 	}
-	cnt := make([]int, maxKey+2)
-	perm := make([]dfg.OpID, n)
-	tmp := make([]dfg.OpID, n)
+	s.cnt = resize(s.cnt, maxKey+2)
+	s.perm = resize(s.perm, n)
+	s.tmp = resize(s.tmp, n)
+	cnt, perm, tmp := s.cnt, s.perm, s.tmp
+	clear(cnt)
 	for i := range perm {
 		perm[i] = dfg.OpID(i)
 	}
@@ -388,8 +483,9 @@ func sortByInterval(iv []wcg.Interval) []dfg.OpID {
 // time-compatible and all fit k's already-paid-for kind — Eqn. 4 holds
 // for the union on k.Kind, so the earlier resource rides along for free
 // and total area strictly decreases. Returns the surviving earlier
-// cliques.
-func grow(g *wcg.Graph, cliques []liveClique, k *liveClique, scratch *[]wcg.Interval, st *Stats) []liveClique {
+// cliques; the swallowed cliques' chains retire to the scratch's free
+// list.
+func (s *Scratch) grow(g *wcg.Graph, cliques []liveClique, k *liveClique, st *Stats) []liveClique {
 	kept := cliques[:0]
 	for _, old := range cliques {
 		// k's own members are compatible with k.kind by construction
@@ -401,9 +497,10 @@ func grow(g *wcg.Graph, cliques []liveClique, k *liveClique, scratch *[]wcg.Inte
 			kept = append(kept, old)
 			continue
 		}
-		if merged, ok := mergeChains(k.ivs, old.ivs, (*scratch)[:0]); ok {
-			*scratch = k.ivs // recycle the replaced chain as scratch
+		if merged, ok := mergeChains(k.ivs, old.ivs, s.merge[:0]); ok {
+			s.merge = k.ivs // recycle the replaced chain as scratch
 			k.ivs = merged
+			s.free = append(s.free, old.ivs)
 			st.Merges++
 			continue
 		}
@@ -474,4 +571,14 @@ func cheapestCommonKindOK(g *wcg.Graph, ops []dfg.OpID) int {
 		}
 	}
 	return -1
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices. Contents are unspecified; callers overwrite or
+// clear what they read.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }

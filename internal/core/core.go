@@ -108,9 +108,18 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 	if d.N() == 0 {
 		return &datapath.Datapath{}, stats, nil
 	}
+	// One compatibility graph per solve: every configuration refines its
+	// own clone, and one scratch serves every round of every
+	// configuration.
+	base, err := buildWCG(d, lib, opt)
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.Kinds = len(base.Kinds)
+	var st solveState
 	if opt.Limits != nil {
 		stats.Configs = 1
-		dp, err := allocateFixed(ctx, d, lib, lambda, opt, opt.Limits, &stats)
+		dp, err := allocateFixed(ctx, base, lambda, opt, opt.Limits, &st, &stats)
 		return dp, stats, err
 	}
 
@@ -142,14 +151,14 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 			return nil, stats, err
 		}
 		stats.Configs++
-		dp, err := allocateFixed(ctx, d, lib, lambda, opt, limits, &stats)
+		dp, err := allocateFixed(ctx, base.Clone(), lambda, opt, limits, &st, &stats)
 		if err == nil {
 			return dp, stats, nil
 		}
 		if !errors.Is(err, ErrInfeasible) {
 			return nil, stats, err
 		}
-		y, need, ok := blame(err, d, lib, limits, count, busy, lambda)
+		y, need, ok := blame(err, d, limits, count, busy, lambda)
 		if !ok {
 			return nil, stats, fmt.Errorf("%w: λ=%d (λ_min may exceed it)", ErrInfeasible, lambda)
 		}
@@ -167,11 +176,11 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 // blame picks the hardware class whose resource bound should grow after
 // an infeasible configuration: the class of the operation the scheduler
 // could not place if available, otherwise the class with the highest
-// utilisation pressure Σℓ_min/(N_y·λ). Classes already at one resource
-// per operation cannot grow. The second result is the scheduler's
-// reported resource deficit for the blamed class (1 when unknown).
-// Returns false when no class can grow.
-func blame(err error, d *dfg.Graph, lib *model.Library, limits sched.Limits, count, busy map[model.OpType]int, lambda int) (model.OpType, int, bool) {
+// utilisation pressure Σℓ_min/(N_y·λ) (model.GrowthClass). Classes
+// already at one resource per operation cannot grow. The second result
+// is the scheduler's reported resource deficit for the blamed class (1
+// when unknown). Returns false when no class can grow.
+func blame(err error, d *dfg.Graph, limits sched.Limits, count, busy map[model.OpType]int, lambda int) (model.OpType, int, bool) {
 	var se *sched.InfeasibleError
 	if errors.As(err, &se) {
 		y := d.Op(se.Op).Spec.Type.HardwareClass()
@@ -179,22 +188,8 @@ func blame(err error, d *dfg.Graph, lib *model.Library, limits sched.Limits, cou
 			return y, se.Need, true
 		}
 	}
-	bestY, found := model.Add, false
-	var bestNum, bestDen int // pressure = busy/(N·λ) compared exactly
-	for y, n := range limits {
-		if n >= count[y] {
-			continue
-		}
-		num, den := busy[y], n*lambda
-		if den <= 0 {
-			den = 1
-		}
-		if !found || num*bestDen > bestNum*den ||
-			(num*bestDen == bestNum*den && count[y] > count[bestY]) {
-			bestY, bestNum, bestDen, found = y, num, den, true
-		}
-	}
-	return bestY, 1, found
+	y, ok := model.GrowthClass(limits, count, busy, lambda)
+	return y, 1, ok
 }
 
 // buildWCG constructs the wordlength compatibility graph the options ask
@@ -206,14 +201,19 @@ func buildWCG(d *dfg.Graph, lib *model.Library, opt Options) (*wcg.Graph, error)
 	return wcg.Build(d, lib)
 }
 
-// allocateFixed is the paper's Algorithm DPAlloc for a fixed N_y.
-func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int, opt Options, limits sched.Limits, stats *Stats) (*datapath.Datapath, error) {
-	g, err := buildWCG(d, lib, opt)
-	if err != nil {
-		return nil, err
-	}
-	stats.Kinds = len(g.Kinds)
+// solveState is the scratch one solve reuses across all of its
+// configurations and schedule/bind/refine rounds. It is created per
+// solve and passed down explicitly, so concurrent solves share nothing.
+type solveState struct {
+	sched  sched.State
+	bind   bind.Scratch
+	refine refine.Scratch
+}
 
+// allocateFixed is the paper's Algorithm DPAlloc for a fixed N_y,
+// refining g in place.
+func allocateFixed(ctx context.Context, g *wcg.Graph, lambda int, opt Options, limits sched.Limits, st *solveState, stats *Stats) (*datapath.Datapath, error) {
+	d, lib := g.D, g.Lib
 	pick := opt.Victim
 	if pick == nil {
 		pick = refine.ChooseVictim
@@ -233,7 +233,6 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 		batchA = min(16, n/128)
 		batchB = n / 64
 	}
-	var all []dfg.OpID
 
 	// Each refinement deletes at least one H edge, so the loop is bounded
 	// by the initial edge count; the +2 covers the final feasible round.
@@ -243,19 +242,13 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 			return nil, err
 		}
 		stats.Iterations++
-		r, schedErr := sched.List(g, limits)
+		r, schedErr := st.sched.List(g, limits)
 		if schedErr != nil {
 			if !errors.Is(schedErr, sched.ErrResourceInfeasible) {
 				return nil, schedErr
 			}
 			// No schedule exists under Eqn. 3 with the current
 			// wordlength information: refine without binding guidance.
-			if all == nil {
-				all = make([]dfg.OpID, n)
-				for i := range all {
-					all[i] = dfg.OpID(i)
-				}
-			}
 			// Deadlock rounds escalate with ladder depth: a
 			// configuration still deadlocked after many rounds is
 			// grinding towards full refinement, and precision there no
@@ -264,6 +257,7 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 			if batchA > 1 {
 				ka = min(64, batchA+iter/8)
 			}
+			all := st.refine.AllOps(n)
 			for j := 0; j < ka; j++ {
 				o, ok := pick(g, nil, all)
 				if !ok {
@@ -277,15 +271,15 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 			}
 			continue
 		}
-		b, bst, err := bind.SelectStats(g, r.Start, bindOpt)
+		b, bst, err := st.bind.Select(g, r.Start, bindOpt)
 		if err != nil {
 			return nil, err
 		}
 		stats.Merges += bst.Merges
 		stats.Evals += bst.Evals
-		dp := toDatapath(g, r.Start, b)
-		m := dp.Makespan(lib)
+		m := b.Makespan(g, r.Start)
 		if m <= lambda {
+			dp := toDatapath(g, r.Start, b)
 			if err := dp.Verify(d, lib, lambda); err != nil {
 				return nil, fmt.Errorf("core: internal error, produced illegal datapath: %w", err)
 			}
@@ -295,7 +289,7 @@ func allocateFixed(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda
 		// approach to λ reverts to the paper's single step.
 		k := min(batchB, max(1, (m-lambda)/4))
 		edges := g.NumHEdges()
-		refined := refine.StepBatch(g, r.Start, b, lambda, pick, k)
+		refined := st.refine.StepBatch(g, r.Start, b, lambda, pick, k)
 		if refined == 0 {
 			return nil, fmt.Errorf("%w: λ=%d below achievable latency %d", ErrInfeasible, lambda, m)
 		}
@@ -327,7 +321,8 @@ func ownKinds(d *dfg.Graph) []model.Kind {
 }
 
 // toDatapath converts a schedule plus binding into the common result
-// representation.
+// representation, copying everything: the inputs alias the solve's
+// scratch.
 func toDatapath(g *wcg.Graph, start []int, b *bind.Binding) *datapath.Datapath {
 	dp := &datapath.Datapath{
 		Start:  append([]int(nil), start...),

@@ -51,6 +51,33 @@ func (t OpType) HardwareClass() OpType {
 	return t
 }
 
+// GrowthClass picks the hardware class whose resource bound N_y a
+// minimal-resource search should grow next: among the classes of limits
+// with headroom (limits[y] < count[y]), the one with the highest
+// utilisation pressure busy[y] / (limits[y]·span), compared exactly.
+// Ties go to the class with more operations, then to the lower class,
+// so the choice never depends on map iteration order. Returns false
+// when no class can grow.
+func GrowthClass(limits, count, busy map[OpType]int, span int) (OpType, bool) {
+	best, found := Add, false
+	var bestNum, bestDen int
+	for y := OpType(0); y < numOpTypes; y++ {
+		n, ok := limits[y]
+		if !ok || n >= count[y] {
+			continue
+		}
+		num, den := busy[y], n*span
+		if den <= 0 {
+			den = 1
+		}
+		if !found || num*bestDen > bestNum*den ||
+			(num*bestDen == bestNum*den && count[y] > count[best]) {
+			best, bestNum, bestDen, found = y, num, den, true
+		}
+	}
+	return best, found
+}
+
 // Signature is the wordlength signature of an operation or resource kind.
 // For multipliers both operand widths matter and multiplication is
 // commutative, so signatures are canonicalised with Hi >= Lo.

@@ -307,3 +307,25 @@ func TestMinKindAndMinLatency(t *testing.T) {
 		t.Errorf("MinLatency(mul 20x18) = %d", MinLatency(m, lib))
 	}
 }
+
+func TestGrowthClassBreaksTiesByCountThenClass(t *testing.T) {
+	// Equal pressure 4/(2·2) on both classes: more operations wins.
+	limits := map[OpType]int{Add: 2, Mul: 2}
+	busy := map[OpType]int{Add: 4, Mul: 4}
+	if y, ok := GrowthClass(limits, map[OpType]int{Add: 3, Mul: 5}, busy, 2); !ok || y != Mul {
+		t.Fatalf("count tie-break: got %v %v, want mul", y, ok)
+	}
+	// Equal pressure and count: the lower class wins on every call.
+	for i := 0; i < 50; i++ {
+		if y, ok := GrowthClass(limits, map[OpType]int{Add: 5, Mul: 5}, busy, 2); !ok || y != Add {
+			t.Fatalf("class tie-break: got %v %v, want add", y, ok)
+		}
+	}
+	// Higher pressure beats count; a class without headroom never grows.
+	if y, ok := GrowthClass(limits, map[OpType]int{Add: 9, Mul: 3}, map[OpType]int{Add: 4, Mul: 5}, 2); !ok || y != Mul {
+		t.Fatalf("pressure: got %v %v, want mul", y, ok)
+	}
+	if _, ok := GrowthClass(limits, map[OpType]int{Add: 2, Mul: 2}, busy, 2); ok {
+		t.Fatal("grew a class already at one resource per operation")
+	}
+}

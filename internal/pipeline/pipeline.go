@@ -128,11 +128,15 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda, 
 		limits[y] = max(1, min((b+cap-1)/cap, count[y]))
 	}
 
+	// One scheduler and refinement scratch serves every round of every
+	// configuration of this solve.
+	var ss sched.State
+	var rs refine.Scratch
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		dp, err := allocateFixed(ctx, base.Clone(), lib, lambda, ii, limits, pick, &stats)
+		dp, err := allocateFixed(ctx, base.Clone(), lib, lambda, ii, limits, pick, &ss, &rs, &stats)
 		if err == nil {
 			return dp, stats, nil
 		}
@@ -151,35 +155,25 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda, 
 		if !grown {
 			// Grow the class with the highest utilisation pressure that
 			// still has headroom.
-			bestY, found := model.Add, false
-			var bestNum, bestDen int
-			for y, nl := range limits {
-				if nl >= count[y] {
-					continue
-				}
-				num, den := busy[y], nl*cap
-				if !found || num*bestDen > bestNum*den {
-					bestY, bestNum, bestDen, found = y, num, den, true
-				}
-			}
+			y, found := model.GrowthClass(limits, count, busy, cap)
 			if !found {
 				return nil, stats, err
 			}
-			limits[bestY]++
+			limits[y]++
 		}
 	}
 }
 
 // allocateFixed runs the schedule/bind/refine loop for one resource-
 // limit configuration.
-func allocateFixed(ctx context.Context, g *wcg.Graph, lib *model.Library, lambda, ii int, limits sched.Limits, pick refine.Policy, stats *Stats) (*datapath.Datapath, error) {
+func allocateFixed(ctx context.Context, g *wcg.Graph, lib *model.Library, lambda, ii int, limits sched.Limits, pick refine.Policy, ss *sched.State, rs *refine.Scratch, stats *Stats) (*datapath.Datapath, error) {
 	maxIters := g.NumHEdges() + 2
 	for iter := 0; iter < maxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		stats.Iterations++
-		r, err := sched.List(g, limits)
+		r, err := ss.List(g, limits)
 		if err != nil {
 			if errors.Is(err, sched.ErrResourceInfeasible) {
 				return nil, fmt.Errorf("%w: %w", ErrInfeasible, err)
@@ -193,7 +187,7 @@ func allocateFixed(ctx context.Context, g *wcg.Graph, lib *model.Library, lambda
 			}
 			return dp, nil
 		}
-		if _, ok := refine.StepWithPolicy(g, r.Start, b, lambda, pick); !ok {
+		if _, ok := rs.StepWithPolicy(g, r.Start, b, lambda, pick); !ok {
 			return nil, fmt.Errorf("%w: λ=%d below achievable latency %d at II=%d",
 				ErrInfeasible, lambda, dp.Makespan(lib), ii)
 		}
@@ -273,9 +267,9 @@ func bindModulo(g *wcg.Graph, start []int, ii int) (*datapath.Datapath, *bind.Bi
 			// Cheapest compatible kind; CompatKinds is area-ascending
 			// within the hardware class by construction.
 			ki := g.CompatKinds(o)[0]
-			best := g.Lib.Area(g.Kinds[ki])
+			best := g.KindArea(ki)
 			for _, k := range g.CompatKinds(o) {
-				if a := g.Lib.Area(g.Kinds[k]); a < best {
+				if a := g.KindArea(k); a < best {
 					ki, best = k, a
 				}
 			}

@@ -25,19 +25,42 @@ import (
 // operations critical in the sequencing graph augmented with
 // same-resource adjacency edges (Eqn. 7), evaluated with bound latencies.
 func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
+	var s Scratch
+	return s.BoundCriticalPath(g, start, b)
+}
+
+// Scratch is the refinement step's solve-scoped scratch: the bound
+// latencies, the augmented successor lists, the counting-sort and
+// ASAP/ALAP arrays, and the Q_b, W and all-operations candidate lists.
+// A refinement loop hands one Scratch to every round of a solve. Slices
+// returned by its methods alias the scratch until the next call. A
+// Scratch serves one goroutine at a time; the zero value is ready to
+// use.
+type Scratch struct {
+	ell, cnt, asap, alap []int
+	succ                 [][]dfg.OpID
+	byStart, order       []dfg.OpID
+	crit, w, all         []dfg.OpID
+}
+
+// BoundCriticalPath is the package-level BoundCriticalPath over the
+// scratch's buffers; the result aliases the scratch.
+func (s *Scratch) BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 	d := g.D
 	n := d.N()
 	if n == 0 {
 		return nil
 	}
-	ell := make([]int, n)
+	s.ell = resize(s.ell, n)
+	ell := s.ell
 	for o := 0; o < n; o++ {
 		ell[o] = b.BoundLatency(g, dfg.OpID(o))
 	}
 
-	succ := make([][]dfg.OpID, n)
+	s.succ = resize(s.succ, n)
+	succ := s.succ
 	for o := 0; o < n; o++ {
-		succ[o] = append(succ[o], d.Succ(dfg.OpID(o))...)
+		succ[o] = append(succ[o][:0], d.Succ(dfg.OpID(o))...)
 	}
 	// S_b: for each clique, link operations executing back-to-back with
 	// no slack: start(o1) + ℓ(o1) == start(o2). Clique members occupy
@@ -46,7 +69,7 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 	// member between them would have to both finish before and start
 	// after the same step): sorting the clique by start and checking
 	// consecutive pairs finds every S_b edge in O(m log m).
-	var byStart []dfg.OpID
+	byStart := s.byStart
 	for _, k := range b.Cliques {
 		byStart = append(byStart[:0], k.Ops...)
 		// Clique members occupy disjoint intervals, so starts are
@@ -59,6 +82,7 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 			}
 		}
 	}
+	s.byStart = byStart
 
 	// All augmented edges strictly increase start (latencies are >= 1 and
 	// schedules respect precedence with L_o >= ℓ(o)), so the augmented
@@ -71,24 +95,29 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 			maxStart = start[o]
 		}
 	}
-	cnt := make([]int, maxStart+2)
+	s.cnt = resize(s.cnt, maxStart+2)
+	cnt := s.cnt
+	clear(cnt)
 	for o := 0; o < n; o++ {
 		cnt[start[o]+1]++
 	}
 	for k := 1; k < len(cnt); k++ {
 		cnt[k] += cnt[k-1]
 	}
-	order := make([]dfg.OpID, n)
+	s.order = resize(s.order, n)
+	order := s.order
 	for o := 0; o < n; o++ {
 		order[cnt[start[o]]] = dfg.OpID(o)
 		cnt[start[o]]++
 	}
 
-	asap := make([]int, n)
+	s.asap = resize(s.asap, n)
+	asap := s.asap
+	clear(asap)
 	for _, o := range order {
-		for _, s := range succ[o] {
-			if v := asap[o] + ell[o]; v > asap[s] {
-				asap[s] = v
+		for _, su := range succ[o] {
+			if v := asap[o] + ell[o]; v > asap[su] {
+				asap[su] = v
 			}
 		}
 	}
@@ -98,25 +127,27 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 			makespan = f
 		}
 	}
-	alap := make([]int, n)
+	s.alap = resize(s.alap, n)
+	alap := s.alap
 	for o := range alap {
 		alap[o] = makespan - ell[o]
 	}
 	for i := n - 1; i >= 0; i-- {
 		o := order[i]
-		for _, s := range succ[o] {
-			if v := alap[s] - ell[o]; v < alap[o] {
+		for _, su := range succ[o] {
+			if v := alap[su] - ell[o]; v < alap[o] {
 				alap[o] = v
 			}
 		}
 	}
 
-	var crit []dfg.OpID
+	crit := s.crit[:0]
 	for o := 0; o < n; o++ {
 		if asap[o] == alap[o] {
 			crit = append(crit, dfg.OpID(o))
 		}
 	}
+	s.crit = crit
 	return crit
 }
 
@@ -125,7 +156,10 @@ func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 // latency. At least one member of W must be refined for the constraint
 // to become satisfiable.
 func Candidates(g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
-	var w []dfg.OpID
+	return appendCandidates(nil, g, start, qb, lambda)
+}
+
+func appendCandidates(w []dfg.OpID, g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
 	for _, o := range qb {
 		if start[o]+g.UpperLatency(o) <= lambda {
 			w = append(w, o)
@@ -208,6 +242,24 @@ func Step(g *wcg.Graph, start []int, b *bind.Binding, lambda int) (dfg.OpID, boo
 	return StepWithPolicy(g, start, b, lambda, ChooseVictim)
 }
 
+// StepWithPolicy is Step with an explicit victim-selection policy.
+func StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
+	var s Scratch
+	return s.StepWithPolicy(g, start, b, lambda, pick)
+}
+
+// StepWithPolicy is the package-level StepWithPolicy over the scratch's
+// buffers.
+func (s *Scratch) StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
+	qb := s.BoundCriticalPath(g, start, b)
+	s.w = appendCandidates(s.w[:0], g, start, qb, lambda)
+	if o, ok := pick(g, b, s.w); ok {
+		g.DeleteMaxLatencyEdges(o)
+		return o, true
+	}
+	return s.fallback(g, b, qb, pick)
+}
+
 // StepBatch performs up to k refinements from a single schedule's
 // candidate computation: the bound critical path Q_b and candidate set W
 // are computed once, then the policy is re-applied (against the graph as
@@ -221,18 +273,18 @@ func Step(g *wcg.Graph, start []int, b *bind.Binding, lambda int) (dfg.OpID, boo
 // engage when W yields nothing, and then refine a single victim, exactly
 // like StepWithPolicy. Returns the number of operations refined; 0 means
 // nothing anywhere is reducible.
-func StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) int {
+func (s *Scratch) StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) int {
 	if k <= 1 {
-		if _, ok := StepWithPolicy(g, start, b, lambda, pick); ok {
+		if _, ok := s.StepWithPolicy(g, start, b, lambda, pick); ok {
 			return 1
 		}
 		return 0
 	}
-	qb := BoundCriticalPath(g, start, b)
-	w := Candidates(g, start, qb, lambda)
+	qb := s.BoundCriticalPath(g, start, b)
+	s.w = appendCandidates(s.w[:0], g, start, qb, lambda)
 	done := 0
 	for done < k {
-		o, ok := pick(g, b, w)
+		o, ok := pick(g, b, s.w)
 		if !ok {
 			break
 		}
@@ -242,39 +294,44 @@ func StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Poli
 	if done > 0 {
 		return done
 	}
-	if o, ok := pick(g, b, qb); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return 1
-	}
-	all := make([]dfg.OpID, g.D.N())
-	for i := range all {
-		all[i] = dfg.OpID(i)
-	}
-	if o, ok := pick(g, b, all); ok {
-		g.DeleteMaxLatencyEdges(o)
+	if _, ok := s.fallback(g, b, qb, pick); ok {
 		return 1
 	}
 	return 0
 }
 
-// StepWithPolicy is Step with an explicit victim-selection policy.
-func StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
-	qb := BoundCriticalPath(g, start, b)
-	if o, ok := pick(g, b, Candidates(g, start, qb, lambda)); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return o, true
-	}
+// fallback refines one victim from Q_b, else from the whole operation
+// set.
+func (s *Scratch) fallback(g *wcg.Graph, b *bind.Binding, qb []dfg.OpID, pick Policy) (dfg.OpID, bool) {
 	if o, ok := pick(g, b, qb); ok {
 		g.DeleteMaxLatencyEdges(o)
 		return o, true
 	}
-	all := make([]dfg.OpID, g.D.N())
-	for i := range all {
-		all[i] = dfg.OpID(i)
-	}
-	if o, ok := pick(g, b, all); ok {
+	if o, ok := pick(g, b, s.AllOps(g.D.N())); ok {
 		g.DeleteMaxLatencyEdges(o)
 		return o, true
 	}
 	return 0, false
+}
+
+// AllOps returns the operation IDs 0..n-1, built once per scratch. The
+// slice must not be modified.
+func (s *Scratch) AllOps(n int) []dfg.OpID {
+	if len(s.all) != n {
+		s.all = resize(s.all, n)
+		for i := range s.all {
+			s.all[i] = dfg.OpID(i)
+		}
+	}
+	return s.all
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices. Contents are unspecified; callers overwrite or
+// clear what they read.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }

@@ -14,6 +14,15 @@
 // the scheduling set accounts for cross-step kind conflicts that the
 // classical constraint (Eqn. 2, per-step counting) misses. Shares are
 // kept in exact integer arithmetic scaled by the lcm of the |S(o)|.
+//
+// Algorithm DPAlloc reschedules after every refinement, so the scheduler
+// keeps its working memory in a State that lives as long as one solve:
+// the caller creates it when the solve starts, hands it to every
+// schedule/bind/refine round, and drops it when the solve returns. A
+// Result from State.List aliases that memory and is valid until the
+// state's next List call — long enough for the round's binding and
+// refinement, which is all a round needs. List is the one-shot form
+// whose Result owns its slices.
 package sched
 
 import (
@@ -21,7 +30,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/dfg"
@@ -73,93 +81,87 @@ func (e *InfeasibleError) Is(target error) bool { return target == ErrResourceIn
 // kind-adjacency bit sets against the uncovered set, so each round is
 // O(|R| · n/64) rather than a per-kind operation-list scan.
 func SchedulingSet(g *wcg.Graph) []int {
+	var s setScratch
+	return s.compute(g)
+}
+
+// setScratch holds the scheduling-set computation's buffers across the
+// rounds of one solve.
+type setScratch struct {
+	uncovered bitset.Set
+	// buckets is a bucket queue over cached cover counts: bucket c
+	// (words [c·w, (c+1)·w)) is a bit set over area ranks — positions in
+	// wcg.Graph.KindsByArea — of the kinds whose cached cover is c.
+	buckets []uint64
+	set     []int
+}
+
+// compute returns the scheduling set in ascending kind order. The slice
+// aliases the scratch until the next call.
+//
+// Lazy greedy: cover counts only shrink as operations get covered, so a
+// cached count is an upper bound, and the top candidate — highest cached
+// cover, then smallest area, then lowest index — once its count
+// validates, beats every other kind: the selection sequence is identical
+// to rescanning all kinds each round. Covers are integers in [0, n] and
+// never grow, so the candidates live in a bucket queue indexed by
+// cached cover, scanned downwards once; within a bucket the lowest set
+// bit is the lowest area rank, which is exactly the (area, index)
+// tie-break.
+func (s *setScratch) compute(g *wcg.Graph) []int {
 	n := g.D.N()
-	uncovered := bitset.New(n)
+	s.uncovered = resize(s.uncovered, (n+63)/64)
+	s.uncovered.Clear()
 	for i := 0; i < n; i++ {
-		uncovered.Add(i)
+		s.uncovered.Add(i)
+	}
+	byArea := g.KindsByArea()
+	w := (len(byArea) + 63) / 64
+	top := 0
+	for _, ki := range byArea {
+		top = max(top, g.CompatOpCount(ki))
+	}
+	s.buckets = resize(s.buckets, (top+1)*w)
+	clear(s.buckets)
+	buckets := s.buckets
+	for r, ki := range byArea {
+		if c := g.CompatOpCount(ki); c > 0 {
+			buckets[c*w+r>>6] |= 1 << (uint(r) & 63)
+		}
 	}
 	remaining := n
-	var set []int
-	// Lazy greedy: cover counts only shrink as operations get covered,
-	// so a cached count is an upper bound and the popped top, once its
-	// count validates, beats every other kind — the selection sequence
-	// is identical to rescanning all kinds each round. The comparator
-	// (cover desc, area asc, index asc) reproduces the scan's winner.
-	type cand struct {
-		ki    int
-		cover int
-		area  int64
-	}
-	better := func(a, b cand) bool {
-		if a.cover != b.cover {
-			return a.cover > b.cover
-		}
-		if a.area != b.area {
-			return a.area < b.area
-		}
-		return a.ki < b.ki
-	}
-	var h []cand
-	push := func(v cand) {
-		h = append(h, v)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if better(h[p], h[i]) {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
-		}
-	}
-	pop := func() cand {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && better(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && better(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-		return top
-	}
-	for ki := range g.Kinds {
-		if c := g.CompatOpCount(ki); c > 0 {
-			push(cand{ki: ki, cover: c, area: g.Lib.Area(g.Kinds[ki])})
-		}
-	}
+	set := s.set[:0]
+	v, wi := top, 0 // scan position: bucket v, from word wi on
 	for remaining > 0 {
-		if len(h) == 0 {
+		for v > 0 && (wi == w || buckets[v*w+wi] == 0) {
+			if wi++; wi >= w {
+				v, wi = v-1, 0
+			}
+		}
+		if v == 0 {
 			// Build guarantees every op has an edge, so this cannot
 			// happen for a consistent graph.
 			panic("sched: operation with no compatible kind")
 		}
-		e := pop()
-		c := g.CompatOpBits(e.ki).IntersectCount(uncovered)
+		word := &buckets[v*w+wi]
+		r := wi<<6 + bits.TrailingZeros64(*word)
+		*word &= *word - 1
+		ki := byArea[r]
+		c := g.CompatOpBits(ki).IntersectCount(s.uncovered)
 		if c == 0 {
 			continue
 		}
-		if c < e.cover {
-			e.cover = c
-			push(e)
+		if c < v {
+			buckets[c*w+r>>6] |= 1 << (uint(r) & 63)
 			continue
 		}
-		set = append(set, e.ki)
+		set = append(set, ki)
 		remaining -= c
-		uncovered.Difference(g.CompatOpBits(e.ki))
+		s.uncovered.Difference(g.CompatOpBits(ki))
 		// A selected kind's future cover is zero; it never re-enters.
 	}
-	sort.Ints(set)
+	slices.Sort(set)
+	s.set = set
 	return set
 }
 
@@ -171,11 +173,34 @@ const (
 	modeEqn2                       // classical per-step counting (ablation)
 )
 
+// State is the list scheduler's solve-scoped scratch: the ready and
+// pending bookkeeping, the priorities, the scheduling set's bucket queue
+// and bit set, and the Eqn. 3 accountant's arrays. A refinement loop hands one
+// State to every round of a solve, so once the buffers reach their
+// high-water mark a round allocates nothing. The Result of State.List
+// aliases the state and stays valid only until the next call. A State
+// serves one goroutine at a time; the zero value is ready to use.
+type State struct {
+	start, prio, predLeft, finish []int
+	ready, incoming, merged       []dfg.OpID
+	pending                       pendHeap
+	running                       intHeap
+	set                           setScratch
+	a3                            eqn3Acct
+}
+
 // List schedules the graph with latency upper bounds from the
-// compatibility graph under Eqn. 3. With nil or empty limits it reduces
-// to ASAP scheduling.
+// compatibility graph under Eqn. 3, reusing the state's buffers. With
+// nil or empty limits it reduces to ASAP scheduling. Result.Start and
+// Result.SchedSet alias the state until its next List call.
+func (s *State) List(g *wcg.Graph, limits Limits) (Result, error) {
+	return s.list(g, limits, modeEqn3)
+}
+
+// List is the one-shot form of State.List: the Result owns its slices.
 func List(g *wcg.Graph, limits Limits) (Result, error) {
-	return list(g, limits, modeEqn3)
+	var s State
+	return s.list(g, limits, modeEqn3)
 }
 
 // ListEqn2 schedules with the classical Eqn. 2 constraint (resource usage
@@ -183,14 +208,16 @@ func List(g *wcg.Graph, limits Limits) (Result, error) {
 // for the ablation benches; the paper shows this constraint is too weak
 // to guarantee bindability.
 func ListEqn2(g *wcg.Graph, limits Limits) (Result, error) {
-	return list(g, limits, modeEqn2)
+	var s State
+	return s.list(g, limits, modeEqn2)
 }
 
-func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
+func (s *State) list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 	d := g.D
 	n := d.N()
 	lat := g.UpperLatSlice()
-	res := Result{Start: make([]int, n)}
+	s.start = resize(s.start, n)
+	res := Result{Start: s.start}
 	if n == 0 {
 		return res, nil
 	}
@@ -199,7 +226,9 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	prio := priorities(d, order, func(id dfg.OpID) int { return lat[id] })
+	s.prio = resize(s.prio, n)
+	prio := s.prio
+	priorities(d, order, lat, prio)
 
 	// The accountant is devirtualized for the common Eqn. 3 case: the
 	// deferral-retry loop below queries feasibility roughly (ready ×
@@ -211,8 +240,9 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 	if len(limits) > 0 {
 		switch mode {
 		case modeEqn3:
-			res.SchedSet = SchedulingSet(g)
-			a3 = newEqn3Accountant(g, res.SchedSet, limits)
+			res.SchedSet = s.set.compute(g)
+			a3 = &s.a3
+			a3.reset(g, res.SchedSet, limits)
 			acct = a3
 			sig, sigEpoch, sigOkL, sigBadL = a3.sig, a3.sigEpoch, a3.sigOkL, a3.sigBadL
 		case modeEqn2:
@@ -227,18 +257,27 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 	// ready but rejected by the accountant — simply stay on the ready
 	// list for the next step, which is exactly the retry behavior of the
 	// original full rescan.
-	predLeft := make([]int, n)
+	s.predLeft = resize(s.predLeft, n)
+	predLeft := s.predLeft
 	for i := 0; i < n; i++ {
 		predLeft[i] = len(d.Pred(dfg.OpID(i)))
 	}
-	finish := make([]int, n) // valid once scheduled
-	var pending pendHeap     // ops whose preds are placed but still running
-	var running intHeap      // finish times of placed operations
-	ready := make([]dfg.OpID, 0, n)
+	s.finish = resize(s.finish, n)
+	finish := s.finish       // valid once scheduled
+	pending := s.pending[:0] // ops whose preds are placed but still running
+	running := s.running[:0] // finish times of placed operations
+	ready := s.ready[:0]
 	for i := 0; i < n; i++ {
 		if predLeft[i] == 0 {
 			ready = append(ready, dfg.OpID(i))
 		}
+	}
+	incoming, merged := s.incoming[:0], s.merged[:0]
+	// The buffers go back to the state on every exit, keeping whatever
+	// capacity this round grew them to.
+	keep := func() {
+		s.pending, s.running = pending, running
+		s.ready, s.incoming, s.merged = ready, incoming, merged
 	}
 	// Placement order is (priority desc, ID asc) — a strict total order
 	// since IDs are distinct. The ready list is kept sorted: deferrals
@@ -251,7 +290,6 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 		return int(a) - int(b)
 	}
 	slices.SortFunc(ready, cmpOp)
-	var incoming, merged []dfg.OpID
 	nDone := 0
 	t := 0
 	horizonGuard := 0
@@ -286,7 +324,7 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 				// Manually inlined probe of the accountant's monotone
 				// signature cache; only misses pay the call into fits.
 				ok, hit := false, false
-				if sig != nil && t == a3.lastT {
+				if len(sig) != 0 && t == a3.lastT {
 					if s := sig[o]; sigEpoch[s] == a3.epoch {
 						if l <= sigOkL[s] {
 							ok, hit = true, true
@@ -357,6 +395,7 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 						need = d
 					}
 				}
+				keep()
 				return Result{}, &InfeasibleError{Op: ready[0], Need: need}
 			}
 			next = t + 1
@@ -364,9 +403,11 @@ func list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
 		t = next
 		horizonGuard++
 		if horizonGuard > maxGuard {
+			keep()
 			return Result{}, fmt.Errorf("%w: no progress within horizon", ErrResourceInfeasible)
 		}
 	}
+	keep()
 	return res, nil
 }
 
@@ -470,11 +511,10 @@ func maxLat(g *wcg.Graph) int {
 	return m
 }
 
-// priorities returns the standard list-scheduling priority: the longest
-// path (in cycles, inclusive of own latency) from each operation to any
-// sink. Most critical first.
-func priorities(d *dfg.Graph, order []dfg.OpID, L dfg.Latencies) []int {
-	prio := make([]int, d.N())
+// priorities fills prio with the standard list-scheduling priority: the
+// longest path (in cycles, inclusive of own latency) from each operation
+// to any sink. Most critical first.
+func priorities(d *dfg.Graph, order []dfg.OpID, lat []int, prio []int) {
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0
@@ -483,9 +523,8 @@ func priorities(d *dfg.Graph, order []dfg.OpID, L dfg.Latencies) []int {
 				best = prio[s]
 			}
 		}
-		prio[id] = best + L(id)
+		prio[id] = best + lat[id]
 	}
-	return prio
 }
 
 // accountant tracks resource usage and answers feasibility queries for
@@ -509,9 +548,13 @@ type eqn3Acct struct {
 	classOf     []int
 	// S(o): a bit mask over set slots when the set fits in 64 bits (the
 	// common case, iterated with no memory traffic), else explicit slot
-	// lists in sOf.
+	// lists in sOf. The mask is empty when the slot lists are in use.
 	mask []uint64
 	sOf  [][]int
+	// sizes[o] = |S(o)| and slotLimit[si] = the slot's class limit (-1
+	// unconstrained): reset's working arrays, kept for reuse.
+	sizes     []int
+	slotLimit []int64
 	// per scheduling-set member: load per step, current peak, and the
 	// slot's dense class index. classSum[y] = Σ peak over the slots of
 	// class y, maintained on commit so the Eqn. 3 sum in fits reduces to
@@ -528,8 +571,10 @@ type eqn3Acct struct {
 	// signature the largest latency known to fit and the smallest known
 	// not to fit bound every repeat query. Deferred operations retried
 	// every step collapse to at most two evaluations per signature.
-	// sig is nil when |S| exceeds the 64-bit mask.
+	// sig is empty when |S| exceeds the 64-bit mask; sigOf maps a mask
+	// to its signature ID.
 	sig      []int
+	sigOf    map[uint64]int
 	sigEpoch []int
 	sigOkL   []int
 	sigBadL  []int
@@ -537,47 +582,67 @@ type eqn3Acct struct {
 	lastT    int
 }
 
-func newEqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
+// reset prepares the accountant for one schedule over set, reusing the
+// arrays of earlier rounds: afterwards it is in exactly the state a
+// freshly allocated accountant would be in (zero loads and peaks, every
+// signature cache entry stale, epoch 1).
+func (a *eqn3Acct) reset(g *wcg.Graph, set []int, limits Limits) {
 	n := g.D.N()
-	a := &eqn3Acct{
-		share:       make([]int64, n),
-		limitScaled: make([]int64, n),
-		classOf:     make([]int, n),
-		load:        make([][]int64, len(set)),
-		peak:        make([]int64, len(set)),
-		slotClass:   make([]int, len(set)),
-		epoch:       1,
+	a.share = resize(a.share, n)
+	a.limitScaled = resize(a.limitScaled, n)
+	a.classOf = resize(a.classOf, n)
+	a.sizes = resize(a.sizes, n)
+	// Load rows keep their capacity across rounds; rows beyond the
+	// current set stay parked in the backing array.
+	if k := len(set); k > cap(a.load) {
+		a.load = append(a.load[:cap(a.load)], make([][]int64, k-cap(a.load))...)
 	}
+	a.load = a.load[:len(set)]
+	for si := range a.load {
+		a.load[si] = a.load[si][:0]
+	}
+	a.peak = resize(a.peak, len(set))
+	clear(a.peak)
+	a.slotClass = resize(a.slotClass, len(set))
+	a.slotLimit = resize(a.slotLimit, len(set))
+	a.epoch, a.lastT = 1, 0
 	// Per slot: the dense class index and limit of its class. Any member
 	// of S(o) names o's class, so per-op lookups reduce to slot lookups.
-	classID := make(map[model.OpType]int)
-	slotLimit := make([]int64, len(set))
+	var classID [model.NumOpTypes]int
+	for y := range classID {
+		classID[y] = -1
+	}
+	classes := 0
 	for si, ki := range set {
 		y := g.Kinds[ki].Class
-		id, ok := classID[y]
-		if !ok {
-			id = len(classID)
-			classID[y] = id
+		if classID[y] < 0 {
+			classID[y] = classes
+			classes++
 		}
-		a.slotClass[si] = id
+		a.slotClass[si] = classID[y]
 		if limit, ok := limits[y]; ok {
-			slotLimit[si] = int64(limit)
+			a.slotLimit[si] = int64(limit)
 		} else {
-			slotLimit[si] = -1
+			a.slotLimit[si] = -1
 		}
 	}
-	a.classSum = make([]int64, len(classID))
-	sizes := make([]int, n)
+	a.classSum = resize(a.classSum, classes)
+	clear(a.classSum)
+	sizes := a.sizes
 	a.scale = 1
 	if len(set) <= 64 {
-		a.mask = make([]uint64, n)
+		a.mask = resize(a.mask, n)
+		clear(a.mask)
 		for si, ki := range set {
 			bit := uint64(1) << uint(si)
 			mask := a.mask
 			g.CompatOpBits(ki).ForEach(func(o int) { mask[o] |= bit })
 		}
-		sigOf := make(map[uint64]int)
-		a.sig = make([]int, n)
+		if a.sigOf == nil {
+			a.sigOf = make(map[uint64]int)
+		}
+		clear(a.sigOf)
+		a.sig = resize(a.sig, n)
 		for o := 0; o < n; o++ {
 			m := a.mask[o]
 			if m == 0 {
@@ -587,19 +652,26 @@ func newEqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
 			a.scale = lcm(a.scale, int64(sizes[o]))
 			first := bits.TrailingZeros64(m)
 			a.classOf[o] = a.slotClass[first]
-			a.limitScaled[o] = slotLimit[first]
-			id, ok := sigOf[m]
+			a.limitScaled[o] = a.slotLimit[first]
+			id, ok := a.sigOf[m]
 			if !ok {
-				id = len(sigOf)
-				sigOf[m] = id
+				id = len(a.sigOf)
+				a.sigOf[m] = id
 			}
 			a.sig[o] = id
 		}
-		a.sigEpoch = make([]int, len(sigOf))
-		a.sigOkL = make([]int, len(sigOf))
-		a.sigBadL = make([]int, len(sigOf))
+		a.sigEpoch = resize(a.sigEpoch, len(a.sigOf))
+		clear(a.sigEpoch)
+		a.sigOkL = resize(a.sigOkL, len(a.sigOf))
+		a.sigBadL = resize(a.sigBadL, len(a.sigOf))
 	} else {
-		a.sOf = make([][]int, n)
+		// Wide sets use explicit slot lists; an empty mask and sig select
+		// that path in fits, commit and the scheduler's cache probe.
+		a.mask, a.sig = a.mask[:0], a.sig[:0]
+		a.sOf = resize(a.sOf, n)
+		for o := range a.sOf {
+			a.sOf[o] = a.sOf[o][:0]
+		}
 		for si, ki := range set {
 			sOf := a.sOf
 			g.CompatOpBits(ki).ForEach(func(o int) { sOf[o] = append(sOf[o], si) })
@@ -612,7 +684,7 @@ func newEqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
 			a.scale = lcm(a.scale, int64(sizes[o]))
 			first := a.sOf[o][0]
 			a.classOf[o] = a.slotClass[first]
-			a.limitScaled[o] = slotLimit[first]
+			a.limitScaled[o] = a.slotLimit[first]
 		}
 	}
 	for o := 0; o < n; o++ {
@@ -621,7 +693,6 @@ func newEqn3Accountant(g *wcg.Graph, set []int, limits Limits) *eqn3Acct {
 			a.limitScaled[o] *= a.scale
 		}
 	}
-	return a
 }
 
 // peakDelta returns the increase of slot si's peak if the op occupied
@@ -647,7 +718,7 @@ func (a *eqn3Acct) fits(o dfg.OpID, t, l int) bool {
 		a.epoch++
 	}
 	s := -1
-	if a.sig != nil {
+	if len(a.sig) != 0 {
 		s = a.sig[o]
 		if a.sigEpoch[s] == a.epoch {
 			if l <= a.sigOkL[s] {
@@ -662,7 +733,7 @@ func (a *eqn3Acct) fits(o dfg.OpID, t, l int) bool {
 	// member of S(o): the maintained class total plus the peak delta of
 	// each touched slot.
 	sum := a.classSum[a.classOf[o]]
-	if a.mask != nil {
+	if len(a.mask) != 0 {
 		for m := a.mask[o]; m != 0; m &= m - 1 {
 			sum += a.peakDelta(bits.TrailingZeros64(m), t, l, a.share[o])
 		}
@@ -699,7 +770,7 @@ func (a *eqn3Acct) deficit(o dfg.OpID, t, l int) int {
 		return 0
 	}
 	sum := a.classSum[a.classOf[o]]
-	if a.mask != nil {
+	if len(a.mask) != 0 {
 		for m := a.mask[o]; m != 0; m &= m - 1 {
 			sum += a.peakDelta(bits.TrailingZeros64(m), t, l, a.share[o])
 		}
@@ -726,7 +797,7 @@ func (a *eqn3Acct) commitSlot(si, t, l int, share int64) {
 
 func (a *eqn3Acct) commit(o dfg.OpID, t, l int) {
 	a.epoch++ // loads change; cached fits answers are stale
-	if a.mask != nil {
+	if len(a.mask) != 0 {
 		for m := a.mask[o]; m != 0; m &= m - 1 {
 			a.commitSlot(bits.TrailingZeros64(m), t, l, a.share[o])
 		}
@@ -802,4 +873,14 @@ func (a *eqn2Acct) commit(o dfg.OpID, t, l int) {
 		u[step]++
 	}
 	a.used[y] = u
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices. Contents are unspecified; callers overwrite or
+// clear what they read.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }

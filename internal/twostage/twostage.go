@@ -152,24 +152,11 @@ func stage1(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int, s
 			return start, nil
 		}
 		// Grow the most pressured un-capped class.
-		bestY, found := model.Add, false
-		var bestNum, bestDen int
-		for y, nr := range limits {
-			if nr >= count[y] {
-				continue
-			}
-			num, den := busy[y], nr*lambda
-			if den <= 0 {
-				den = 1
-			}
-			if !found || num*bestDen > bestNum*den {
-				bestY, bestNum, bestDen, found = y, num, den, true
-			}
-		}
+		y, found := model.GrowthClass(limits, count, busy, lambda)
 		if !found {
 			return nil, fmt.Errorf("%w: λ=%d below λ_min %d", ErrInfeasible, lambda, makespan)
 		}
-		limits[bestY]++
+		limits[y]++
 	}
 }
 

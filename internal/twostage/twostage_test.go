@@ -1,8 +1,11 @@
 package twostage
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/dfg"
@@ -225,5 +228,47 @@ func TestAllocateCtxPreCanceled(t *testing.T) {
 	}
 	if _, _, err := AllocateCtx(ctx, g, model.Default(), 50); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestAllocateDeterministicClassGrowth solves problems whose stage-1
+// search meets classes of equal utilisation pressure, where a
+// map-order tie-break once returned different datapaths from run to
+// run: every repeat must give one answer.
+func TestAllocateDeterministicClassGrowth(t *testing.T) {
+	lib := model.Default()
+	cases := []struct {
+		n     int
+		seed  int64
+		relax float64
+	}{
+		{19, 5016, 0}, {11, 5512, 0}, {15, 5564, 0}, {16, 5301, 0.1},
+	}
+	for _, c := range cases {
+		d, err := tgff.Generate(tgff.Config{N: c.n, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lmin, err := d.MinMakespan(lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lambda := lmin + int(math.Round(float64(lmin)*c.relax))
+		var first []byte
+		for run := 0; run < 30; run++ {
+			dp, _, err := Allocate(d, lib, lambda)
+			if err != nil {
+				t.Fatalf("N=%d seed=%d: %v", c.n, c.seed, err)
+			}
+			got, err := json.Marshal(dp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Fatalf("N=%d seed=%d λ=%d: run %d differs from run 0", c.n, c.seed, lambda, run)
+			}
+		}
 	}
 }

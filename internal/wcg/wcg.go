@@ -52,8 +52,12 @@ type Graph struct {
 	ops      [][]dfg.OpID
 	opsDirty []bool
 	opCount  []int
-	// lat[k] caches Lib.Latency(Kinds[k]).
-	lat []int
+	// lat[k] and area[k] cache Lib.Latency(Kinds[k]) and
+	// Lib.Area(Kinds[k]).
+	lat  []int
+	area []int64
+	// byArea lists the kind indices by area ascending, ties by index.
+	byArea []int
 	// upper[o] and min[o] cache L_o and min ℓ over o's current kinds.
 	upper []int
 	min   []int
@@ -92,12 +96,19 @@ func Build(d *dfg.Graph, lib *model.Library) (*Graph, error) {
 func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Graph, error) {
 	g := &Graph{D: d, Lib: lib, Kinds: kinds}
 	g.lat = make([]int, len(kinds))
+	g.area = make([]int64, len(kinds))
 	for i, k := range kinds {
 		g.lat[i] = lib.Latency(k)
+		g.area[i] = lib.Area(k)
 		if g.lat[i] < 1 {
 			return nil, fmt.Errorf("wcg: kind %v has non-positive latency", k)
 		}
 	}
+	g.byArea = make([]int, len(kinds))
+	for i := range g.byArea {
+		g.byArea[i] = i
+	}
+	sort.SliceStable(g.byArea, func(i, j int) bool { return g.area[g.byArea[i]] < g.area[g.byArea[j]] })
 	n := d.N()
 	g.h = make([][]int, n)
 	g.hBits = make([]bitset.Set, n)
@@ -148,6 +159,13 @@ func (g *Graph) recomputeBounds(o dfg.OpID) {
 
 // KindLatency returns the cached latency ℓ(r) of kind index k.
 func (g *Graph) KindLatency(k int) int { return g.lat[k] }
+
+// KindArea returns the cached area of kind index k.
+func (g *Graph) KindArea(k int) int64 { return g.area[k] }
+
+// KindsByArea returns every kind index ordered by area ascending, ties
+// by index. The slice must not be modified.
+func (g *Graph) KindsByArea() []int { return g.byArea }
 
 // CompatKinds returns the kind indices currently compatible with o
 // (the H edges of o). The slice must not be modified.
@@ -255,7 +273,7 @@ func (g *Graph) NumHEdges() int { return g.edges }
 // library and kind set but with independent H edges.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		D: g.D, Lib: g.Lib, Kinds: g.Kinds, lat: g.lat,
+		D: g.D, Lib: g.Lib, Kinds: g.Kinds, lat: g.lat, area: g.area, byArea: g.byArea,
 		upper: append([]int(nil), g.upper...),
 		min:   append([]int(nil), g.min...),
 		edges: g.edges,
