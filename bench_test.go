@@ -212,15 +212,19 @@ func BenchmarkAblationGrowth(b *testing.B) {
 			name = "growth=off"
 		}
 		b.Run(name, func(b *testing.B) {
-			var area int64
+			var (
+				area int64
+				st   sched.State
+				bs   bind.Scratch
+			)
 			for i := 0; i < b.N; i++ {
 				area = 0
 				for _, w := range ws {
-					r, err := sched.List(w, nil)
+					r, err := st.List(w, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
-					bd, err := bind.SelectOpt(w, r.Start, bind.Options{DisableGrowth: disable})
+					bd, _, err := bs.Select(w, r.Start, bind.Options{DisableGrowth: disable})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -323,11 +327,12 @@ func BenchmarkAblationEqn3(b *testing.B) {
 		return c
 	}
 	b.Run("eqn3", func(b *testing.B) {
+		var st sched.State
 		rejected := 0
 		for i := 0; i < b.N; i++ {
 			rejected = 0
 			for _, w := range ws {
-				if _, err := sched.List(fullyRefine(w), limits); err != nil {
+				if _, err := st.List(fullyRefine(w), limits); err != nil {
 					rejected++
 				}
 			}
@@ -335,11 +340,13 @@ func BenchmarkAblationEqn3(b *testing.B) {
 		b.ReportMetric(float64(rejected), "rejected")
 	})
 	b.Run("eqn2", func(b *testing.B) {
+		var st sched.State
 		rejected := 0
 		for i := 0; i < b.N; i++ {
 			rejected = 0
 			for _, w := range ws {
-				if _, err := sched.ListEqn2(fullyRefine(w), limits); err != nil {
+				fw := fullyRefine(w)
+				if _, err := st.ListEqn2(fw.D, fw.UpperLatSlice(), limits); err != nil {
 					rejected++
 				}
 			}

@@ -20,8 +20,7 @@
 // it when the solve returns. A Binding from Scratch.Select aliases that
 // memory and is valid until the scratch's next Select call; callers
 // that keep a binding past the round copy it (core converts only the
-// returned round into a datapath). Select, SelectOpt and SelectStats
-// are the one-shot forms whose Binding owns its memory.
+// returned round into a datapath).
 package bind
 
 import (
@@ -96,23 +95,9 @@ type Stats struct {
 	// Merges counts clique-growth swallows: previously selected cliques
 	// absorbed into a newer one, each retiring a resource instance.
 	Merges int
-	// Evals counts maximum-clique (MaxChain) evaluations.
+	// Evals counts maximum-clique evaluations: per kind, the greedy
+	// earliest-finish chain of its uncovered compatible operations.
 	Evals int
-}
-
-// Select runs Algorithm BindSelect on a scheduled compatibility graph.
-// start gives the scheduled start step per operation; reserved intervals
-// are [start[o], start[o]+L_o) with L_o the current latency upper bound,
-// so the derived binding can never violate the schedule.
-func Select(g *wcg.Graph, start []int) (*Binding, error) {
-	b, _, err := SelectStats(g, start, Options{})
-	return b, err
-}
-
-// SelectOpt is Select with explicit options.
-func SelectOpt(g *wcg.Graph, start []int, opt Options) (*Binding, error) {
-	b, _, err := SelectStats(g, start, opt)
-	return b, err
 }
 
 // kindEntry is a lazily maintained candidate in the greedy selection: the
@@ -138,13 +123,6 @@ func betterEntry(a, b kindEntry) bool {
 		return false
 	}
 	return a.ki < b.ki
-}
-
-// SelectStats is SelectOpt, additionally reporting effort counters. It
-// is the one-shot form of Scratch.Select: the Binding owns its memory.
-func SelectStats(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error) {
-	var s Scratch
-	return s.Select(g, start, opt)
 }
 
 // Scratch is the binder's solve-scoped scratch: the reserved intervals,
@@ -174,8 +152,11 @@ type Scratch struct {
 	b         Binding
 }
 
-// Select runs Algorithm BindSelect with the scratch's buffers; see
-// SelectOpt. The Binding aliases the scratch until the next call.
+// Select runs Algorithm BindSelect on a scheduled compatibility graph.
+// start gives the scheduled start step per operation; reserved intervals
+// are [start[o], start[o]+L_o) with L_o the current latency upper bound,
+// so the derived binding can never violate the schedule. The Binding
+// aliases the scratch until the next call.
 func (s *Scratch) Select(g *wcg.Graph, start []int, opt Options) (*Binding, Stats, error) {
 	var st Stats
 	n := g.D.N()
@@ -195,8 +176,8 @@ func (s *Scratch) Select(g *wcg.Graph, start []int, opt Options) (*Binding, Stat
 	remaining := n
 
 	// The reserved intervals are fixed for the whole selection, so the
-	// operations are sorted by interval order (end, start, ID — the
-	// MaxChain order) exactly once globally, then distributed to the
+	// operations are sorted by interval order (end, start, ID —
+	// cmpInterval) exactly once globally, then distributed to the
 	// kinds through the H-edge lists: one O(n + makespan) counting sort
 	// plus one append per H edge yields every kind's compatible
 	// operations in interval order, and every later chain extraction is
@@ -419,7 +400,9 @@ func betterRatio(size1 int, cost1 int64, size2 int, cost2 int64) bool {
 	return cost1 < cost2
 }
 
-// cmpInterval is the MaxChain sort order: end, then start, then op ID.
+// cmpInterval is the interval order every chain walk uses: end, then
+// start, then op ID. Greedy earliest-finish selection in this order
+// yields a maximum chain (activity selection on an interval order).
 func cmpInterval(a, b wcg.Interval) int {
 	if a.End != b.End {
 		return a.End - b.End

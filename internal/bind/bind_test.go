@@ -2,6 +2,7 @@ package bind
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dfg"
@@ -21,7 +22,7 @@ func build(t *testing.T, d *dfg.Graph) *wcg.Graph {
 
 func asap(t *testing.T, g *wcg.Graph) []int {
 	t.Helper()
-	r, err := sched.List(g, nil)
+	r, err := new(sched.State).List(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func checkBinding(t *testing.T, g *wcg.Graph, start []int, b *Binding) {
 		for i, o := range k.Ops {
 			ivs[i] = wcg.Interval{Op: o, Start: start[o], End: start[o] + g.UpperLatency(o)}
 		}
-		if !wcg.IsChain(ivs) {
+		if !isChain(ivs) {
 			t.Fatalf("clique %d has overlapping reserved intervals", ci)
 		}
 	}
@@ -60,6 +61,24 @@ func checkBinding(t *testing.T, g *wcg.Graph, start []int, b *Binding) {
 			t.Fatalf("operation %d covered %d times", o, c)
 		}
 	}
+}
+
+// isChain reports whether the intervals are pairwise disjoint, i.e. form
+// a clique of G'(O, C). The input slice is reordered in place.
+func isChain(ivs []wcg.Interval) bool {
+	slices.SortFunc(ivs, cmpInterval)
+	for i := 1; i < len(ivs); i++ {
+		if !ivs[i-1].Before(ivs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// selectOpt binds with a fresh scratch, so the Binding owns its memory.
+func selectOpt(g *wcg.Graph, start []int, opt Options) (*Binding, error) {
+	b, _, err := new(Scratch).Select(g, start, opt)
+	return b, err
 }
 
 func TestSelectChainShares(t *testing.T) {
@@ -75,7 +94,7 @@ func TestSelectChainShares(t *testing.T) {
 	}
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := selectOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +114,7 @@ func TestSelectParallelSplits(t *testing.T) {
 	d.AddOp("", model.Mul, model.Sig(8, 8))
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := selectOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +135,7 @@ func TestSelectMixedWordlengthSharing(t *testing.T) {
 	d.AddDep(a, b0)
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := selectOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +160,7 @@ func TestShrinkSelectsCheapestKind(t *testing.T) {
 	big := d.AddOp("", model.Mul, model.Sig(16, 16))
 	g := build(t, d)
 	start := asap(t, g)
-	b, err := Select(g, start)
+	b, err := selectOpt(g, start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +182,12 @@ func TestGrowthMergesCliques(t *testing.T) {
 		d := randomDAG(rnd, 2+rnd.Intn(14))
 		g := build(t, d)
 		start := asap(t, g)
-		withG, err := SelectOpt(g, start, Options{})
+		withG, err := selectOpt(g, start, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkBinding(t, g, start, withG)
-		noG, err := SelectOpt(g, start, Options{DisableGrowth: true})
+		noG, err := selectOpt(g, start, Options{DisableGrowth: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +208,7 @@ func TestAreaNeverExceedsDedicated(t *testing.T) {
 		d := randomDAG(rnd, 1+rnd.Intn(16))
 		g := build(t, d)
 		start := asap(t, g)
-		b, err := Select(g, start)
+		b, err := selectOpt(g, start, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +227,7 @@ func TestSelectBadInput(t *testing.T) {
 	d := dfg.New()
 	d.AddOp("", model.Add, model.AddSig(8))
 	g := build(t, d)
-	if _, err := Select(g, []int{0, 1}); err == nil {
+	if _, err := selectOpt(g, []int{0, 1}, Options{}); err == nil {
 		t.Error("mismatched start slice accepted")
 	}
 }

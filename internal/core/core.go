@@ -51,7 +51,7 @@ type Options struct {
 	// paper's N_y input). Nil enables the automatic minimal-resource
 	// search described in the package comment.
 	Limits sched.Limits
-	// DisableGrowth, DisableShrink pass through to bind.SelectOpt
+	// DisableGrowth, DisableShrink pass through to bind.Options
 	// (ablation).
 	DisableGrowth bool
 	DisableShrink bool
@@ -124,28 +124,7 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda i
 	}
 
 	// Automatic minimal-resource search.
-	count := make(map[model.OpType]int)
-	busy := make(map[model.OpType]int) // Σ minimum latencies per class
-	for _, o := range d.Ops() {
-		y := o.Spec.Type.HardwareClass()
-		count[y]++
-		busy[y] += model.MinLatency(o.Spec, lib)
-	}
-	limits := make(sched.Limits, len(count))
-	for y, b := range busy {
-		n := 1
-		if lambda > 0 {
-			n = (b + lambda - 1) / lambda
-		}
-		if n < 1 {
-			n = 1
-		}
-		if n > count[y] {
-			n = count[y]
-		}
-		limits[y] = n
-	}
-
+	limits, count, busy := model.SeedLimits(d.Specs(), lib, lambda)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err

@@ -51,6 +51,29 @@ func (t OpType) HardwareClass() OpType {
 	return t
 }
 
+// SeedLimits starts a minimal-resource search: per hardware class of the
+// operations it returns the operation count, the busy cycles Σ ℓ_min
+// (each operation on its own minimal kind) and the utilisation lower
+// bound N_y = ⌈busy/span⌉ clamped to [1, count], with span the cycles
+// one resource can serve. A span below 1 seeds one resource per class.
+func SeedLimits(specs []OpSpec, lib *Library, span int) (limits, count, busy map[OpType]int) {
+	count = make(map[OpType]int)
+	busy = make(map[OpType]int)
+	for _, o := range specs {
+		y := o.Type.HardwareClass()
+		count[y]++
+		busy[y] += MinLatency(o, lib)
+	}
+	limits = make(map[OpType]int, len(count))
+	for y, b := range busy {
+		limits[y] = 1
+		if span >= 1 {
+			limits[y] = max(1, min((b+span-1)/span, count[y]))
+		}
+	}
+	return limits, count, busy
+}
+
 // GrowthClass picks the hardware class whose resource bound N_y a
 // minimal-resource search should grow next: among the classes of limits
 // with headroom (limits[y] < count[y]), the one with the highest

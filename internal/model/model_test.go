@@ -329,3 +329,32 @@ func TestGrowthClassBreaksTiesByCountThenClass(t *testing.T) {
 		t.Fatal("grew a class already at one resource per operation")
 	}
 }
+
+func TestSeedLimits(t *testing.T) {
+	lib := Default()
+	// Three 8x8 multiplies (2 cycles each) and one 8-bit add (2 cycles).
+	specs := []OpSpec{
+		{Mul, Sig(8, 8)}, {Mul, Sig(8, 8)}, {Mul, Sig(8, 8)}, {Sub, AddSig(8)},
+	}
+	limits, count, busy := SeedLimits(specs, lib, 4)
+	if count[Mul] != 3 || count[Add] != 1 || busy[Mul] != 6 || busy[Add] != 2 {
+		t.Fatalf("count %v busy %v", count, busy)
+	}
+	// ⌈6/4⌉ = 2 multipliers; ⌈2/4⌉ = 1 adder.
+	if len(limits) != 2 || limits[Mul] != 2 || limits[Add] != 1 {
+		t.Fatalf("span 4: limits %v", limits)
+	}
+	// A short span clamps to one resource per operation.
+	if limits, _, _ := SeedLimits(specs, lib, 1); limits[Mul] != 3 || limits[Add] != 1 {
+		t.Fatalf("span 1: limits %v", limits)
+	}
+	// A span below 1 seeds one resource per class.
+	for _, span := range []int{0, -3} {
+		if limits, _, _ := SeedLimits(specs, lib, span); limits[Mul] != 1 || limits[Add] != 1 {
+			t.Fatalf("span %d: limits %v", span, limits)
+		}
+	}
+	if limits, count, busy := SeedLimits(nil, lib, 4); len(limits)+len(count)+len(busy) != 0 {
+		t.Fatalf("empty: %v %v %v", limits, count, busy)
+	}
+}

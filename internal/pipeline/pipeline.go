@@ -111,22 +111,10 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda, 
 		pick = refine.ChooseVictim
 	}
 
-	// Utilisation lower bounds on the per-class limits.
-	count := make(map[model.OpType]int)
-	busy := make(map[model.OpType]int)
-	for _, o := range d.Ops() {
-		y := o.Spec.Type.HardwareClass()
-		count[y]++
-		busy[y] += model.MinLatency(o.Spec, lib)
-	}
-	cap := min(ii, lambda)
-	if cap < 1 {
-		cap = 1
-	}
-	limits := make(sched.Limits, len(count))
-	for y, b := range busy {
-		limits[y] = max(1, min((b+cap-1)/cap, count[y]))
-	}
+	// Utilisation lower bounds on the per-class limits: one unit serves
+	// at most min(II, λ) busy cycles per iteration.
+	span := max(1, min(ii, lambda))
+	limits, count, busy := model.SeedLimits(d.Specs(), lib, span)
 
 	// One scheduler and refinement scratch serves every round of every
 	// configuration of this solve.
@@ -155,7 +143,7 @@ func AllocateCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda, 
 		if !grown {
 			// Grow the class with the highest utilisation pressure that
 			// still has headroom.
-			y, found := model.GrowthClass(limits, count, busy, cap)
+			y, found := model.GrowthClass(limits, count, busy, span)
 			if !found {
 				return nil, stats, err
 			}
@@ -187,7 +175,7 @@ func allocateFixed(ctx context.Context, g *wcg.Graph, lib *model.Library, lambda
 			}
 			return dp, nil
 		}
-		if _, ok := rs.StepWithPolicy(g, r.Start, b, lambda, pick); !ok {
+		if rs.StepBatch(g, r.Start, b, lambda, pick, 1) == 0 {
 			return nil, fmt.Errorf("%w: λ=%d below achievable latency %d at II=%d",
 				ErrInfeasible, lambda, dp.Makespan(lib), ii)
 		}

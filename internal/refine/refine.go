@@ -21,14 +21,6 @@ import (
 	"repro/internal/wcg"
 )
 
-// BoundCriticalPath returns Q_b for the given schedule and binding: the
-// operations critical in the sequencing graph augmented with
-// same-resource adjacency edges (Eqn. 7), evaluated with bound latencies.
-func BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
-	var s Scratch
-	return s.BoundCriticalPath(g, start, b)
-}
-
 // Scratch is the refinement step's solve-scoped scratch: the bound
 // latencies, the augmented successor lists, the counting-sort and
 // ASAP/ALAP arrays, and the Q_b, W and all-operations candidate lists.
@@ -43,8 +35,10 @@ type Scratch struct {
 	crit, w, all         []dfg.OpID
 }
 
-// BoundCriticalPath is the package-level BoundCriticalPath over the
-// scratch's buffers; the result aliases the scratch.
+// BoundCriticalPath returns Q_b for the given schedule and binding: the
+// operations critical in the sequencing graph augmented with
+// same-resource adjacency edges (Eqn. 7), evaluated with bound latencies.
+// The result aliases the scratch.
 func (s *Scratch) BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) []dfg.OpID {
 	d := g.D
 	n := d.N()
@@ -151,14 +145,10 @@ func (s *Scratch) BoundCriticalPath(g *wcg.Graph, start []int, b *bind.Binding) 
 	return crit
 }
 
-// Candidates returns W: the members of the bound critical path that
-// complete before the latency constraint even at their upper-bound
+// appendCandidates appends W to w: the members of the bound critical path
+// that complete before the latency constraint even at their upper-bound
 // latency. At least one member of W must be refined for the constraint
 // to become satisfiable.
-func Candidates(g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
-	return appendCandidates(nil, g, start, qb, lambda)
-}
-
 func appendCandidates(w []dfg.OpID, g *wcg.Graph, start []int, qb []dfg.OpID, lambda int) []dfg.OpID {
 	for _, o := range qb {
 		if start[o]+g.UpperLatency(o) <= lambda {
@@ -231,59 +221,25 @@ func FirstReducible(g *wcg.Graph, _ *bind.Binding, cands []dfg.OpID) (dfg.OpID, 
 	return best, true
 }
 
-// Step performs one refinement: find Q_b, W, choose a victim and delete
-// its maximum-latency H edges. It falls back from W to Q_b to the whole
-// operation set when the preferred sets contain no reducible operation
-// ("reducing the latency of operations that are not members of this set
-// may be necessary"). Returns the refined operation and true, or false
-// when no operation anywhere can be refined (the problem is infeasible
-// for this λ).
-func Step(g *wcg.Graph, start []int, b *bind.Binding, lambda int) (dfg.OpID, bool) {
-	return StepWithPolicy(g, start, b, lambda, ChooseVictim)
-}
-
-// StepWithPolicy is Step with an explicit victim-selection policy.
-func StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
-	var s Scratch
-	return s.StepWithPolicy(g, start, b, lambda, pick)
-}
-
-// StepWithPolicy is the package-level StepWithPolicy over the scratch's
-// buffers.
-func (s *Scratch) StepWithPolicy(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy) (dfg.OpID, bool) {
-	qb := s.BoundCriticalPath(g, start, b)
-	s.w = appendCandidates(s.w[:0], g, start, qb, lambda)
-	if o, ok := pick(g, b, s.w); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return o, true
-	}
-	return s.fallback(g, b, qb, pick)
-}
-
-// StepBatch performs up to k refinements from a single schedule's
-// candidate computation: the bound critical path Q_b and candidate set W
-// are computed once, then the policy is re-applied (against the graph as
-// it shrinks, so the proportion metric stays current) until k victims
-// have been refined or W runs out of reducible operations. k=1 is
-// exactly StepWithPolicy — the paper's step. Larger k trades the paper's
+// StepBatch performs up to k refinements (at least one) from a single
+// schedule's candidate computation: find Q_b and W once, then re-apply
+// the victim policy (against the graph as it shrinks, so the proportion
+// metric stays current) deleting each victim's maximum-latency H edges,
+// until k victims have been refined or W runs out of reducible
+// operations. k ≤ 1 is the paper's step. Larger k trades the paper's
 // reschedule-per-refinement precision for one reschedule per batch,
 // which is what makes 1000-operation graphs tractable: the number of
 // schedule/bind rounds, not the cost of one round, is the superlinear
-// term. The fallback tiers (Q_b, then the whole operation set) only
-// engage when W yields nothing, and then refine a single victim, exactly
-// like StepWithPolicy. Returns the number of operations refined; 0 means
-// nothing anywhere is reducible.
+// term. When W yields nothing it falls back to Q_b, then to the whole
+// operation set, refining a single victim ("reducing the latency of
+// operations that are not members of this set may be necessary").
+// Returns the number of operations refined; 0 means nothing anywhere is
+// reducible (the problem is infeasible for this λ).
 func (s *Scratch) StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda int, pick Policy, k int) int {
-	if k <= 1 {
-		if _, ok := s.StepWithPolicy(g, start, b, lambda, pick); ok {
-			return 1
-		}
-		return 0
-	}
 	qb := s.BoundCriticalPath(g, start, b)
 	s.w = appendCandidates(s.w[:0], g, start, qb, lambda)
 	done := 0
-	for done < k {
+	for done < max(k, 1) {
 		o, ok := pick(g, b, s.w)
 		if !ok {
 			break
@@ -294,24 +250,13 @@ func (s *Scratch) StepBatch(g *wcg.Graph, start []int, b *bind.Binding, lambda i
 	if done > 0 {
 		return done
 	}
-	if _, ok := s.fallback(g, b, qb, pick); ok {
-		return 1
+	for _, cands := range [][]dfg.OpID{qb, s.AllOps(g.D.N())} {
+		if o, ok := pick(g, b, cands); ok {
+			g.DeleteMaxLatencyEdges(o)
+			return 1
+		}
 	}
 	return 0
-}
-
-// fallback refines one victim from Q_b, else from the whole operation
-// set.
-func (s *Scratch) fallback(g *wcg.Graph, b *bind.Binding, qb []dfg.OpID, pick Policy) (dfg.OpID, bool) {
-	if o, ok := pick(g, b, qb); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return o, true
-	}
-	if o, ok := pick(g, b, s.AllOps(g.D.N())); ok {
-		g.DeleteMaxLatencyEdges(o)
-		return o, true
-	}
-	return 0, false
 }
 
 // AllOps returns the operation IDs 0..n-1, built once per scratch. The

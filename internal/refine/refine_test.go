@@ -17,11 +17,11 @@ func setup(t *testing.T, d *dfg.Graph) (*wcg.Graph, []int, *bind.Binding) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sched.List(g, nil)
+	r, err := new(sched.State).List(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bind.Select(g, r.Start)
+	b, _, err := new(bind.Scratch).Select(g, r.Start, bind.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestBoundCriticalPathChain(t *testing.T) {
 		prev = o
 	}
 	g, start, b := setup(t, d)
-	qb := BoundCriticalPath(g, start, b)
+	qb := new(Scratch).BoundCriticalPath(g, start, b)
 	if len(qb) != 4 {
 		t.Fatalf("Q_b = %v, want all 4 ops", qb)
 	}
@@ -65,7 +65,7 @@ func TestBoundCriticalPathIncludesResourceSerialization(t *testing.T) {
 		Cliques:  []bind.Clique{{Ops: []dfg.OpID{a, bop}, Kind: firstMulKind(g)}},
 		CliqueOf: []int{0, 0},
 	}
-	qb := BoundCriticalPath(g, start, binding)
+	qb := new(Scratch).BoundCriticalPath(g, start, binding)
 	if len(qb) != 2 {
 		t.Fatalf("Q_b = %v, want both ops via S_b edge", qb)
 	}
@@ -100,7 +100,7 @@ func TestBoundCriticalPathGapBreaksEdge(t *testing.T) {
 		Cliques:  []bind.Clique{{Ops: []dfg.OpID{0, 1}, Kind: firstMulKind(g)}},
 		CliqueOf: []int{0, 0},
 	}
-	qb := BoundCriticalPath(g, start, binding)
+	qb := new(Scratch).BoundCriticalPath(g, start, binding)
 	// Without the S_b edge both ops have augmented ASAP 0 and latency 2,
 	// so both are critical (both lie on a longest path of length 2).
 	if len(qb) != 2 {
@@ -115,14 +115,14 @@ func TestCandidatesFilterByDeadline(t *testing.T) {
 	o2 := d.AddOp("", model.Mul, model.Sig(20, 18)) // L = 7 via 25x25
 	d.AddDep(o1, o2)
 	g, start, b := setup(t, d)
-	qb := BoundCriticalPath(g, start, b)
+	qb := new(Scratch).BoundCriticalPath(g, start, b)
 	// Makespan is 14; λ = 8 admits only the first op (0 + 7 <= 8).
-	w := Candidates(g, start, qb, 8)
+	w := appendCandidates(nil, g, start, qb, 8)
 	if len(w) != 1 || w[0] != o1 {
 		t.Fatalf("W = %v, want [%d]", w, o1)
 	}
 	// λ = 14 admits both.
-	if w := Candidates(g, start, qb, 14); len(w) != 2 {
+	if w := appendCandidates(nil, g, start, qb, 14); len(w) != 2 {
 		t.Fatalf("W = %v, want both ops", w)
 	}
 }
@@ -158,12 +158,13 @@ func TestStepReducesUpperBound(t *testing.T) {
 	d.AddDep(o1, o2)
 	g, start, b := setup(t, d)
 	before := g.UpperLatency(o2)
-	victim, ok := Step(g, start, b, 12)
-	if !ok {
-		t.Fatal("no refinement performed")
+	edges := g.NumHEdges()
+	if n := new(Scratch).StepBatch(g, start, b, 12, ChooseVictim, 1); n != 1 {
+		t.Fatalf("refined %d operations, want 1", n)
 	}
-	if victim != o2 {
-		t.Fatalf("victim = %d, want %d", victim, o2)
+	// o1 is irreducible, so the one deleted edge must be o2's.
+	if g.NumHEdges() != edges-1 || len(g.CompatKinds(o1)) != 1 {
+		t.Fatalf("victim is not o2: %d edges left, o1 kinds %v", g.NumHEdges(), g.CompatKinds(o1))
 	}
 	if g.UpperLatency(o2) >= before {
 		t.Fatalf("upper bound not reduced: %d -> %d", before, g.UpperLatency(o2))
@@ -171,30 +172,32 @@ func TestStepReducesUpperBound(t *testing.T) {
 }
 
 func TestStepFallsBackAndEventuallyFails(t *testing.T) {
-	// All ops single-kind: nothing reducible anywhere, Step returns false.
+	// All ops single-kind: nothing reducible anywhere, StepBatch refines
+	// nothing.
 	d := dfg.New()
 	d.AddOp("", model.Add, model.AddSig(8))
 	d.AddOp("", model.Add, model.AddSig(8))
 	g, start, b := setup(t, d)
-	if _, ok := Step(g, start, b, 1); ok {
+	if new(Scratch).StepBatch(g, start, b, 1, ChooseVictim, 1) != 0 {
 		t.Fatal("refined an irreducible problem")
 	}
 }
 
 func TestRefinementTerminates(t *testing.T) {
-	// Repeated Step calls must terminate (H edges strictly decrease).
+	// Repeated steps must terminate (H edges strictly decrease).
 	rnd := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 50; trial++ {
 		d := randomDAG(rnd, 1+rnd.Intn(14))
 		g, start, b := setup(t, d)
+		var s Scratch
 		steps := 0
 		for {
 			edges := g.NumHEdges()
-			if _, ok := Step(g, start, b, 0); !ok {
+			if s.StepBatch(g, start, b, 0, ChooseVictim, 1) == 0 {
 				break
 			}
 			if g.NumHEdges() >= edges {
-				t.Fatal("Step did not delete any H edge")
+				t.Fatal("StepBatch did not delete any H edge")
 			}
 			steps++
 			if steps > 10000 {

@@ -15,14 +15,20 @@
 // classical constraint (Eqn. 2, per-step counting) misses. Shares are
 // kept in exact integer arithmetic scaled by the lcm of the |S(o)|.
 //
+// One list scheduler serves both constraints. State.List schedules a
+// compatibility graph at its upper bounds under Eqn. 3 — the rule of
+// Algorithm DPAlloc (package core) and of the pipelined allocator.
+// State.ListEqn2 schedules a sequencing graph at caller-given latencies
+// under Eqn. 2 — the wordlength-blind stage 1 of the two-stage and
+// descending-wordlength baselines, and the Eqn. 3 ablation.
+//
 // Algorithm DPAlloc reschedules after every refinement, so the scheduler
 // keeps its working memory in a State that lives as long as one solve:
 // the caller creates it when the solve starts, hands it to every
 // schedule/bind/refine round, and drops it when the solve returns. A
-// Result from State.List aliases that memory and is valid until the
-// state's next List call — long enough for the round's binding and
-// refinement, which is all a round needs. List is the one-shot form
-// whose Result owns its slices.
+// Result aliases that memory and is valid until the state's next
+// schedule — long enough for the round's binding and refinement, which
+// is all a round needs.
 package sched
 
 import (
@@ -46,7 +52,6 @@ type Limits map[model.OpType]int
 type Result struct {
 	Start    []int // start control step per operation
 	Makespan int   // completion step of the last operation under the scheduling latencies
-	SchedSet []int // kind indices of the scheduling set used for Eqn. 3
 }
 
 // ErrResourceInfeasible is returned when some ready operation cannot be
@@ -73,17 +78,6 @@ func (e *InfeasibleError) Error() string {
 
 // Is reports whether target is ErrResourceInfeasible.
 func (e *InfeasibleError) Is(target error) bool { return target == ErrResourceInfeasible }
-
-// SchedulingSet computes a small subset S ⊆ R such that every operation
-// has an H edge to some member, preferring large cover then small area
-// (greedy set cover; minimum-cardinality covering is NP-hard, and the
-// greedy bound is the standard choice). Cover counts are popcounts of
-// kind-adjacency bit sets against the uncovered set, so each round is
-// O(|R| · n/64) rather than a per-kind operation-list scan.
-func SchedulingSet(g *wcg.Graph) []int {
-	var s setScratch
-	return s.compute(g)
-}
 
 // setScratch holds the scheduling-set computation's buffers across the
 // rounds of one solve.
@@ -165,21 +159,13 @@ func (s *setScratch) compute(g *wcg.Graph) []int {
 	return set
 }
 
-// constraintMode selects the resource-accounting rule.
-type constraintMode int
-
-const (
-	modeEqn3 constraintMode = iota // paper's constraint (default)
-	modeEqn2                       // classical per-step counting (ablation)
-)
-
 // State is the list scheduler's solve-scoped scratch: the ready and
 // pending bookkeeping, the priorities, the scheduling set's bucket queue
-// and bit set, and the Eqn. 3 accountant's arrays. A refinement loop hands one
-// State to every round of a solve, so once the buffers reach their
-// high-water mark a round allocates nothing. The Result of State.List
-// aliases the state and stays valid only until the next call. A State
-// serves one goroutine at a time; the zero value is ready to use.
+// and bit set, and both accountants' arrays. A caller hands one State to
+// every schedule of a solve, so once the buffers reach their high-water
+// mark a schedule allocates nothing. A Result aliases the state and
+// stays valid only until the next call. A State serves one goroutine at
+// a time; the zero value is ready to use.
 type State struct {
 	start, prio, predLeft, finish []int
 	ready, incoming, merged       []dfg.OpID
@@ -187,67 +173,61 @@ type State struct {
 	running                       intHeap
 	set                           setScratch
 	a3                            eqn3Acct
+	a2                            eqn2Acct
 }
 
-// List schedules the graph with latency upper bounds from the
-// compatibility graph under Eqn. 3, reusing the state's buffers. With
-// nil or empty limits it reduces to ASAP scheduling. Result.Start and
-// Result.SchedSet alias the state until its next List call.
+// List schedules the compatibility graph's operations at their latency
+// upper bounds L_o under Eqn. 3, reusing the state's buffers. With nil or
+// empty limits it reduces to ASAP scheduling.
 func (s *State) List(g *wcg.Graph, limits Limits) (Result, error) {
-	return s.list(g, limits, modeEqn3)
+	order, err := g.TopoOrder()
+	if err != nil {
+		return Result{}, err
+	}
+	var a3 *eqn3Acct
+	if len(limits) > 0 && g.D.N() > 0 {
+		a3 = &s.a3
+		a3.reset(g, s.set.compute(g), limits)
+	}
+	return s.list(g.D, order, g.UpperLatSlice(), a3, nil)
 }
 
-// List is the one-shot form of State.List: the Result owns its slices.
-func List(g *wcg.Graph, limits Limits) (Result, error) {
-	var s State
-	return s.list(g, limits, modeEqn3)
+// ListEqn2 schedules the sequencing graph at the latencies lat (indexed
+// by operation ID) under the classical Eqn. 2 constraint: at most N_y
+// operations of class y run in any control step, whatever their
+// wordlengths. This is the wordlength-blind scheduler of the two-stage
+// baselines and of the Eqn. 3 ablation; the paper shows the constraint
+// is too weak to guarantee bindability. With nil or empty limits it
+// reduces to ASAP scheduling.
+func (s *State) ListEqn2(d *dfg.Graph, lat []int, limits Limits) (Result, error) {
+	order, err := d.TopoOrder()
+	if err != nil {
+		return Result{}, err
+	}
+	var a2 *eqn2Acct
+	if len(limits) > 0 {
+		a2 = &s.a2
+		a2.reset(d, limits)
+	}
+	return s.list(d, order, lat, nil, a2)
 }
 
-// ListEqn2 schedules with the classical Eqn. 2 constraint (resource usage
-// counted per step per class, ignoring wordlength information). Exposed
-// for the ablation benches; the paper shows this constraint is too weak
-// to guarantee bindability.
-func ListEqn2(g *wcg.Graph, limits Limits) (Result, error) {
-	var s State
-	return s.list(g, limits, modeEqn2)
-}
-
-func (s *State) list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, error) {
-	d := g.D
+// list is the list scheduler behind both constraints: at most one of a3
+// and a2 is set, and with neither every ready operation is placed at
+// once.
+func (s *State) list(d *dfg.Graph, order []dfg.OpID, lat []int, a3 *eqn3Acct, a2 *eqn2Acct) (Result, error) {
 	n := d.N()
-	lat := g.UpperLatSlice()
 	s.start = resize(s.start, n)
 	res := Result{Start: s.start}
 	if n == 0 {
 		return res, nil
 	}
-
-	order, err := g.TopoOrder()
-	if err != nil {
-		return Result{}, err
-	}
 	s.prio = resize(s.prio, n)
 	prio := s.prio
 	priorities(d, order, lat, prio)
-
-	// The accountant is devirtualized for the common Eqn. 3 case: the
-	// deferral-retry loop below queries feasibility roughly (ready ×
-	// steps) times, and an interface call per query costs more than the
-	// cached answer it usually returns.
-	var acct accountant
-	var a3 *eqn3Acct
 	var sig, sigEpoch, sigOkL, sigBadL []int
-	if len(limits) > 0 {
-		switch mode {
-		case modeEqn3:
-			res.SchedSet = s.set.compute(g)
-			a3 = &s.a3
-			a3.reset(g, res.SchedSet, limits)
-			acct = a3
-			sig, sigEpoch, sigOkL, sigBadL = a3.sig, a3.sigEpoch, a3.sigOkL, a3.sigBadL
-		case modeEqn2:
-			acct = newEqn2Accountant(g, limits)
-		}
+	if a3 != nil {
+		sig, sigEpoch, sigOkL, sigBadL = a3.sig, a3.sigEpoch, a3.sigOkL, a3.sigBadL
 	}
 
 	// Readiness is tracked by events instead of per-step rescans: an
@@ -293,7 +273,11 @@ func (s *State) list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, 
 	nDone := 0
 	t := 0
 	horizonGuard := 0
-	maxGuard := 4 * (n + 2) * (maxLat(g) + 1)
+	maxLat := 1
+	for _, l := range lat {
+		maxLat = max(maxLat, l)
+	}
+	maxGuard := 4 * (n + 2) * (maxLat + 1)
 	for nDone < n {
 		incoming = incoming[:0]
 		for len(pending) > 0 && pending[0].at <= t {
@@ -340,12 +324,13 @@ func (s *State) list(g *wcg.Graph, limits Limits, mode constraintMode) (Result, 
 					kept = append(kept, o)
 					continue
 				}
-			} else if acct != nil && !acct.fits(o, t, l) {
-				kept = append(kept, o)
-				continue
-			}
-			if acct != nil {
-				acct.commit(o, t, l)
+				a3.commit(o, t, l)
+			} else if a2 != nil {
+				if !a2.fits(o, t, l) {
+					kept = append(kept, o)
+					continue
+				}
+				a2.commit(o, t, l)
 			}
 			res.Start[o] = t
 			f := t + l
@@ -501,16 +486,6 @@ func (h *intHeap) pop() int {
 	return top
 }
 
-func maxLat(g *wcg.Graph) int {
-	m := 1
-	for o := 0; o < g.D.N(); o++ {
-		if l := g.UpperLatency(dfg.OpID(o)); l > m {
-			m = l
-		}
-	}
-	return m
-}
-
 // priorities fills prio with the standard list-scheduling priority: the
 // longest path (in cycles, inclusive of own latency) from each operation
 // to any sink. Most critical first.
@@ -525,13 +500,6 @@ func priorities(d *dfg.Graph, order []dfg.OpID, lat []int, prio []int) {
 		}
 		prio[id] = best + lat[id]
 	}
-}
-
-// accountant tracks resource usage and answers feasibility queries for
-// placing an operation over [t, t+l).
-type accountant interface {
-	fits(o dfg.OpID, t, l int) bool
-	commit(o dfg.OpID, t, l int)
 }
 
 // ---- Eqn. 3 accounting ----
@@ -831,32 +799,32 @@ func gcd(a, b int64) int64 {
 
 func lcm(a, b int64) int64 { return a / gcd(a, b) * b }
 
-// ---- Eqn. 2 accounting (ablation) ----
+// ---- Eqn. 2 accounting ----
 
+// eqn2Acct counts the operations of each hardware class running in each
+// control step.
 type eqn2Acct struct {
+	d      *dfg.Graph
 	limits Limits
-	class  []model.OpType
-	used   map[model.OpType][]int // per class: count per step
+	used   [model.NumOpTypes][]int // per class: operations running per step
 }
 
-func newEqn2Accountant(g *wcg.Graph, limits Limits) *eqn2Acct {
-	n := g.D.N()
-	a := &eqn2Acct{limits: limits, class: make([]model.OpType, n), used: make(map[model.OpType][]int)}
-	for o := 0; o < n; o++ {
-		a.class[o] = g.D.Op(dfg.OpID(o)).Spec.Type.HardwareClass()
+func (a *eqn2Acct) reset(d *dfg.Graph, limits Limits) {
+	a.d, a.limits = d, limits
+	for y := range a.used {
+		a.used[y] = a.used[y][:0]
 	}
-	return a
 }
 
 func (a *eqn2Acct) fits(o dfg.OpID, t, l int) bool {
-	y := a.class[o]
+	y := a.d.Op(o).Spec.Type.HardwareClass()
 	limit, ok := a.limits[y]
 	if !ok {
 		return true
 	}
 	u := a.used[y]
-	for step := t; step < t+l; step++ {
-		if step < len(u) && u[step]+1 > limit {
+	for step := t; step < min(t+l, len(u)); step++ {
+		if u[step]+1 > limit {
 			return false
 		}
 	}
@@ -864,9 +832,9 @@ func (a *eqn2Acct) fits(o dfg.OpID, t, l int) bool {
 }
 
 func (a *eqn2Acct) commit(o dfg.OpID, t, l int) {
-	y := a.class[o]
+	y := a.d.Op(o).Spec.Type.HardwareClass()
 	u := a.used[y]
-	for t+l > len(u) {
+	for len(u) < t+l {
 		u = append(u, 0)
 	}
 	for step := t; step < t+l; step++ {

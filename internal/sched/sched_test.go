@@ -3,10 +3,12 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dfg"
 	"repro/internal/model"
+	"repro/internal/tgff"
 	"repro/internal/wcg"
 )
 
@@ -23,19 +25,26 @@ func build(t *testing.T, d *dfg.Graph) *wcg.Graph {
 // scheduling latencies (the upper bounds).
 func checkSchedule(t *testing.T, g *wcg.Graph, r Result) {
 	t.Helper()
-	L := g.UpperLatencies()
-	for i := 0; i < g.D.N(); i++ {
+	checkPrecedence(t, g.D, g.UpperLatSlice(), r)
+}
+
+// checkPrecedence verifies that every operation starts after all its
+// predecessors finish under lat, and that the makespan covers every
+// finish.
+func checkPrecedence(t *testing.T, d *dfg.Graph, lat []int, r Result) {
+	t.Helper()
+	for i := 0; i < d.N(); i++ {
 		id := dfg.OpID(i)
 		if r.Start[i] < 0 {
 			t.Fatalf("op %d starts at %d", i, r.Start[i])
 		}
-		for _, p := range g.D.Pred(id) {
-			if r.Start[p]+L(p) > r.Start[i] {
+		for _, p := range d.Pred(id) {
+			if r.Start[p]+lat[p] > r.Start[i] {
 				t.Fatalf("precedence violated: %d(start %d, lat %d) -> %d(start %d)",
-					p, r.Start[p], L(p), i, r.Start[i])
+					p, r.Start[p], lat[p], i, r.Start[i])
 			}
 		}
-		if f := r.Start[i] + L(id); f > r.Makespan {
+		if f := r.Start[i] + lat[id]; f > r.Makespan {
 			t.Fatalf("makespan %d below finish of op %d (%d)", r.Makespan, i, f)
 		}
 	}
@@ -46,12 +55,13 @@ func TestUnconstrainedIsASAP(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		d := randomDAG(rnd, 1+rnd.Intn(16))
 		g := build(t, d)
-		r, err := List(g, nil)
+		r, err := new(State).List(g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkSchedule(t, g, r)
-		asap, ms, err := d.ASAP(g.UpperLatencies())
+		lat := g.UpperLatSlice()
+		asap, ms, err := d.ASAP(func(o dfg.OpID) int { return lat[o] })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +78,7 @@ func TestUnconstrainedIsASAP(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := build(t, dfg.New())
-	r, err := List(g, Limits{model.Mul: 1})
+	r, err := new(State).List(g, Limits{model.Mul: 1})
 	if err != nil || r.Makespan != 0 {
 		t.Fatalf("empty graph: %v %v", r, err)
 	}
@@ -79,7 +89,7 @@ func TestSchedulingSetCovers(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		d := randomDAG(rnd, 1+rnd.Intn(16))
 		g := build(t, d)
-		set := SchedulingSet(g)
+		set := new(setScratch).compute(g)
 		for i := 0; i < d.N(); i++ {
 			ok := false
 			for _, ki := range set {
@@ -103,7 +113,7 @@ func TestSchedulingSetSmallestCase(t *testing.T) {
 	d.AddOp("", model.Mul, model.Sig(12, 4))
 	d.AddOp("", model.Mul, model.Sig(10, 10))
 	g := build(t, d)
-	set := SchedulingSet(g)
+	set := new(setScratch).compute(g)
 	if len(set) != 1 {
 		t.Fatalf("scheduling set = %v, want single top kind", set)
 	}
@@ -119,7 +129,7 @@ func TestEqn3SerializesUnderUnitLimit(t *testing.T) {
 	d.AddOp("m1", model.Mul, model.Sig(8, 8))
 	d.AddOp("m2", model.Mul, model.Sig(8, 8))
 	g := build(t, d)
-	r, err := List(g, Limits{model.Mul: 1})
+	r, err := new(State).List(g, Limits{model.Mul: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +145,7 @@ func TestEqn3AllowsParallelWithTwo(t *testing.T) {
 	d.AddOp("m1", model.Mul, model.Sig(8, 8))
 	d.AddOp("m2", model.Mul, model.Sig(8, 8))
 	g := build(t, d)
-	r, err := List(g, Limits{model.Mul: 2})
+	r, err := new(State).List(g, Limits{model.Mul: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +171,17 @@ func TestEqn3CatchesKindConflicts(t *testing.T) {
 	if n := g.DeleteMaxLatencyEdges(o2); n != 1 {
 		t.Fatalf("setup deletion removed %d edges", n)
 	}
-	if _, err := List(g, Limits{model.Mul: 1}); !errors.Is(err, ErrResourceInfeasible) {
+	if _, err := new(State).List(g, Limits{model.Mul: 1}); !errors.Is(err, ErrResourceInfeasible) {
 		t.Fatalf("Eqn. 3 accepted an unbindable schedule: err = %v", err)
 	}
 	// Two multipliers suffice.
-	r, err := List(g, Limits{model.Mul: 2})
+	r, err := new(State).List(g, Limits{model.Mul: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSchedule(t, g, r)
 	// Eqn. 2 wrongly accepts one multiplier (the ops never overlap).
-	if _, err := ListEqn2(g, Limits{model.Mul: 1}); err != nil {
+	if _, err := new(State).ListEqn2(d, g.UpperLatSlice(), Limits{model.Mul: 1}); err != nil {
 		t.Fatalf("Eqn. 2 rejected: %v (expected the classical constraint to be fooled)", err)
 	}
 }
@@ -187,7 +197,7 @@ func TestEqn3AtLeastAsStrictAsEqn2(t *testing.T) {
 		d := randomDAG(rnd, 1+rnd.Intn(12))
 		g := build(t, d)
 		limits := Limits{model.Mul: 1 + rnd.Intn(2), model.Add: 1 + rnd.Intn(2)}
-		r, err := List(g, limits)
+		r, err := new(State).List(g, limits)
 		if errors.Is(err, ErrResourceInfeasible) {
 			continue
 		}
@@ -196,23 +206,7 @@ func TestEqn3AtLeastAsStrictAsEqn2(t *testing.T) {
 		}
 		checkSchedule(t, g, r)
 		// Count per-step concurrency per class; must respect limits.
-		L := g.UpperLatencies()
-		for y, limit := range limits {
-			use := make(map[int]int)
-			for i := 0; i < d.N(); i++ {
-				if d.Op(dfg.OpID(i)).Spec.Type.HardwareClass() != y {
-					continue
-				}
-				for s := r.Start[i]; s < r.Start[i]+L(dfg.OpID(i)); s++ {
-					use[s]++
-				}
-			}
-			for s, u := range use {
-				if u > limit {
-					t.Fatalf("Eqn.3 schedule violates Eqn.2 at step %d: %d > %d %v", s, u, limit, y)
-				}
-			}
-		}
+		checkEqn2(t, d, g.UpperLatSlice(), limits, r)
 	}
 }
 
@@ -235,15 +229,15 @@ func TestEqn3ExactWithFullInfo(t *testing.T) {
 	// One multiplier total: must be infeasible (two disjoint kinds needed),
 	// even though the ops could be fully serialized — this is exactly the
 	// cross-step conflict Eqn. 2 cannot see.
-	if _, err := List(g, Limits{model.Mul: 1}); !errors.Is(err, ErrResourceInfeasible) {
+	if _, err := new(State).List(g, Limits{model.Mul: 1}); !errors.Is(err, ErrResourceInfeasible) {
 		t.Fatalf("want infeasible with 1 multiplier, got %v", err)
 	}
-	if _, err := ListEqn2(g, Limits{model.Mul: 1}); err != nil {
+	if _, err := new(State).ListEqn2(d, g.UpperLatSlice(), Limits{model.Mul: 1}); err != nil {
 		t.Fatalf("Eqn. 2 should (wrongly) accept 1 multiplier, got %v", err)
 	}
 	// Three multipliers: feasible even with the greedy running both
 	// 16x16 ops in parallel (peak 2) plus one 8x8 instance (peak 1).
-	r, err := List(g, Limits{model.Mul: 3})
+	r, err := new(State).List(g, Limits{model.Mul: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +246,78 @@ func TestEqn3ExactWithFullInfo(t *testing.T) {
 	// each kind) but the greedy list scheduler spends the whole budget on
 	// step-0 parallelism; that myopia is inherent to list scheduling
 	// under a schedule-global constraint and matches the paper's greedy.
-	if _, err := List(g, Limits{model.Mul: 2}); !errors.Is(err, ErrResourceInfeasible) {
+	if _, err := new(State).List(g, Limits{model.Mul: 2}); !errors.Is(err, ErrResourceInfeasible) {
 		t.Fatalf("greedy behaviour changed: limit 2 now gives %v (update this test)", err)
+	}
+}
+
+// checkEqn2 verifies the classical per-step constraint: no control step
+// runs more than N_y operations of class y under lat.
+func checkEqn2(t *testing.T, d *dfg.Graph, lat []int, limits Limits, r Result) {
+	t.Helper()
+	for y, limit := range limits {
+		use := make(map[int]int)
+		for i := 0; i < d.N(); i++ {
+			if d.Op(dfg.OpID(i)).Spec.Type.HardwareClass() != y {
+				continue
+			}
+			for s := r.Start[i]; s < r.Start[i]+lat[i]; s++ {
+				use[s]++
+			}
+		}
+		for s, u := range use {
+			if u > limit {
+				t.Fatalf("step %d runs %d %v operations, limit %d", s, u, y, limit)
+			}
+		}
+	}
+}
+
+// TestEqn2Properties checks the Eqn. 2 path over tgff graphs of both
+// shapes and every N_y ∈ {1..4}² for multipliers and adders, at the
+// operations' native latencies: every schedule respects precedence,
+// never runs more than N_y operations of class y in one step, and with
+// nil limits equals dfg.ASAP. One State serves every schedule, as in a
+// resource-bound search.
+func TestEqn2Properties(t *testing.T) {
+	lib := model.Default()
+	var st State
+	for _, shape := range []tgff.Shape{tgff.ShapeLayered, tgff.ShapeForkJoin} {
+		for _, n := range []int{4, 12, 40, 100} {
+			for seed := int64(1); seed <= 3; seed++ {
+				d, err := tgff.Generate(tgff.Config{N: n, Seed: seed, Shape: shape})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lat := make([]int, n)
+				for i, o := range d.Ops() {
+					lat[i] = model.MinLatency(o.Spec, lib)
+				}
+				asap, ms, err := d.ASAP(func(o dfg.OpID) int { return lat[o] })
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := st.ListEqn2(d, lat, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Makespan != ms || !slices.Equal(r.Start, asap) {
+					t.Fatalf("n=%d seed=%d: unconstrained Eqn. 2 schedule %v (makespan %d) is not ASAP %v (%d)",
+						n, seed, r.Start, r.Makespan, asap, ms)
+				}
+				for mul := 1; mul <= 4; mul++ {
+					for add := 1; add <= 4; add++ {
+						limits := Limits{model.Mul: mul, model.Add: add}
+						r, err := st.ListEqn2(d, lat, limits)
+						if err != nil {
+							t.Fatalf("n=%d seed=%d limits=%v: %v", n, seed, limits, err)
+						}
+						checkPrecedence(t, d, lat, r)
+						checkEqn2(t, d, lat, limits, r)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -266,7 +330,7 @@ func TestListRejectsCycle(t *testing.T) {
 	// inject the back edge.
 	g := build(t, d)
 	d.AddDep(b, a)
-	if _, err := List(g, nil); err == nil {
+	if _, err := new(State).List(g, nil); err == nil {
 		t.Fatal("cyclic graph scheduled")
 	}
 }
@@ -282,7 +346,7 @@ func TestPrioritiesCriticalFirst(t *testing.T) {
 	d.AddDep(b, c)
 	x := d.AddOp("x", model.Add, model.AddSig(8))
 	g := build(t, d)
-	r, err := List(g, Limits{model.Add: 1})
+	r, err := new(State).List(g, Limits{model.Add: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,12 @@
 // resources that can be grouped together without increasing the latency
 // of the operation".
 //
-// Stage 1 schedules the graph wordlength-blind: classical list scheduling
-// with every operation at its native latency under per-class resource
-// counts (started at the utilisation lower bound and grown until the
-// latency constraint is met). Stage 2 finds the minimum-area partition
+// Stage 1 schedules the graph wordlength-blind: package sched's list
+// scheduler under the classical per-step class count (the paper's
+// Eqn. 2), with every operation at its native latency and the per-class
+// resource counts seeded at the utilisation lower bound
+// (model.SeedLimits) and grown by pressure (model.GrowthClass) until the
+// latency constraint is met. Stage 2 finds the minimum-area partition
 // of the scheduled operations into resource cliques by branch-and-bound,
 // where a clique is feasible only if its members are pairwise
 // time-disjoint and their joined signature's kind has exactly the same
@@ -27,6 +29,7 @@ import (
 	"repro/internal/datapath"
 	"repro/internal/dfg"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
 
 // ErrInfeasible is returned when λ is below the graph's λ_min.
@@ -116,143 +119,31 @@ func GreedyPartitionCtx(ctx context.Context, d *dfg.Graph, lib *model.Library, s
 // ---- Stage 1: wordlength-blind list scheduling ----
 
 func stage1(ctx context.Context, d *dfg.Graph, lib *model.Library, lambda int, stats *Stats) ([]int, error) {
-	lat := d.MinLatencies(lib)
-	count := make(map[model.OpType]int)
-	busy := make(map[model.OpType]int)
-	for _, o := range d.Ops() {
-		y := o.Spec.Type.HardwareClass()
-		count[y]++
-		busy[y] += lat(o.ID)
+	lat := make([]int, d.N())
+	for i, o := range d.Ops() {
+		lat[i] = model.MinLatency(o.Spec, lib)
 	}
-	limits := make(map[model.OpType]int, len(count))
-	for y, b := range busy {
-		nRes := 1
-		if lambda > 0 {
-			nRes = (b + lambda - 1) / lambda
-		}
-		if nRes < 1 {
-			nRes = 1
-		}
-		if nRes > count[y] {
-			nRes = count[y]
-		}
-		limits[y] = nRes
-	}
-
+	limits, count, busy := model.SeedLimits(d.Specs(), lib, lambda)
+	var st sched.State
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		stats.Configs++
-		start, makespan, err := listSchedule(d, lat, limits)
+		r, err := st.ListEqn2(d, lat, limits)
 		if err != nil {
 			return nil, err
 		}
-		if makespan <= lambda {
-			return start, nil
+		if r.Makespan <= lambda {
+			return append([]int(nil), r.Start...), nil
 		}
 		// Grow the most pressured un-capped class.
 		y, found := model.GrowthClass(limits, count, busy, lambda)
 		if !found {
-			return nil, fmt.Errorf("%w: λ=%d below λ_min %d", ErrInfeasible, lambda, makespan)
+			return nil, fmt.Errorf("%w: λ=%d below λ_min %d", ErrInfeasible, lambda, r.Makespan)
 		}
 		limits[y]++
 	}
-}
-
-// listSchedule is classical resource-constrained list scheduling with
-// per-step class counting (the paper's Eqn. 2) at native latencies.
-func listSchedule(d *dfg.Graph, lat dfg.Latencies, limits map[model.OpType]int) ([]int, int, error) {
-	n := d.N()
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, 0, err
-	}
-	prio := make([]int, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		best := 0
-		for _, s := range d.Succ(id) {
-			if prio[s] > best {
-				best = prio[s]
-			}
-		}
-		prio[id] = best + lat(id)
-	}
-
-	start := make([]int, n)
-	finish := make([]int, n)
-	scheduled := make([]bool, n)
-	used := make(map[model.OpType][]int)
-	makespan, nDone, t := 0, 0, 0
-	for nDone < n {
-		var ready []dfg.OpID
-		for i := 0; i < n; i++ {
-			if scheduled[i] {
-				continue
-			}
-			ok := true
-			for _, p := range d.Pred(dfg.OpID(i)) {
-				if !scheduled[p] || finish[p] > t {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				ready = append(ready, dfg.OpID(i))
-			}
-		}
-		sort.Slice(ready, func(i, j int) bool {
-			a, b := ready[i], ready[j]
-			if prio[a] != prio[b] {
-				return prio[a] > prio[b]
-			}
-			return a < b
-		})
-		for _, o := range ready {
-			y := d.Op(o).Spec.Type.HardwareClass()
-			limit, constrained := limits[y]
-			l := lat(o)
-			if constrained {
-				fits := true
-				u := used[y]
-				for s := t; s < t+l; s++ {
-					if s < len(u) && u[s]+1 > limit {
-						fits = false
-						break
-					}
-				}
-				if !fits {
-					continue
-				}
-				for t+l > len(u) {
-					u = append(u, 0)
-				}
-				for s := t; s < t+l; s++ {
-					u[s]++
-				}
-				used[y] = u
-			}
-			scheduled[o] = true
-			start[o] = t
-			finish[o] = t + l
-			if finish[o] > makespan {
-				makespan = finish[o]
-			}
-			nDone++
-		}
-		next := -1
-		for i := 0; i < n; i++ {
-			if scheduled[i] && finish[i] > t && (next < 0 || finish[i] < next) {
-				next = finish[i]
-			}
-		}
-		if next < 0 {
-			next = t + 1
-		}
-		t = next
-	}
-	return start, makespan, nil
 }
 
 // ---- Stage 2: optimal latency-preserving binding by branch & bound ----

@@ -71,46 +71,3 @@ func TestRefinementInvariantsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMaxChainQuick: MaxChain must always return a pairwise-disjoint
-// subset whose size matches an independent greedy recomputation, for
-// arbitrary interval soups.
-func TestMaxChainQuick(t *testing.T) {
-	f := func(raw []uint16) bool {
-		var ivs []Interval
-		for i, r := range raw {
-			if len(ivs) >= 24 {
-				break
-			}
-			start := int(r % 50)
-			length := 1 + int(r/50)%7
-			ivs = append(ivs, Interval{Op: dfg.OpID(i), Start: start, End: start + length})
-		}
-		chain := MaxChain(append([]Interval(nil), ivs...))
-		// Chain must be pairwise disjoint.
-		if !IsChain(append([]Interval(nil), chain...)) {
-			return false
-		}
-		// And maximum: compare against brute force over subsets for small
-		// inputs, or the classic greedy count otherwise.
-		if len(ivs) <= 12 {
-			best := 0
-			for mask := 0; mask < 1<<len(ivs); mask++ {
-				var sub []Interval
-				for i := range ivs {
-					if mask&(1<<i) != 0 {
-						sub = append(sub, ivs[i])
-					}
-				}
-				if IsChain(sub) && len(sub) > best {
-					best = len(sub)
-				}
-			}
-			return len(chain) == best
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

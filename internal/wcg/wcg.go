@@ -11,15 +11,14 @@
 // intervals [start(o), start(o)+L_o), which form an interval order, so the
 // orientation is transitive by construction (Golumbic [11]) and maximum
 // cliques of a kind's compatibility subgraph are maximum sets of pairwise
-// disjoint intervals, found in linear time after sorting.
+// disjoint intervals, found in linear time after sorting (package bind).
 //
 // The H edges are maintained incrementally: bit sets index both sides of
-// the bipartite adjacency (op→kinds and kind→ops), the per-operation
-// latency bounds L_o and min ℓ are cached and repaired on deletion, and
-// the per-kind operation lists handed to schedulers are rebuilt lazily
-// only for kinds whose edge set actually changed. Membership tests and
-// edge counts are O(1) instead of adjacency-list scans — the difference
-// between 100- and 1000-node graphs being tractable.
+// the bipartite adjacency (op→kinds and kind→ops), and the per-operation
+// latency bounds L_o and min ℓ and the per-kind operation counts are
+// cached and repaired on deletion. Membership tests and edge counts are
+// O(1) instead of adjacency-list scans — the difference between 100- and
+// 1000-node graphs being tractable.
 package wcg
 
 import (
@@ -46,12 +45,9 @@ type Graph struct {
 	hBits []bitset.Set
 	// opBits[k] is O(r) as a bit set over operation IDs.
 	opBits []bitset.Set
-	// ops[k] caches O(r) in ID order; opsDirty[k] marks it stale after
-	// an edge deletion touching kind k. opCount[k] = |O(r)| is
-	// maintained incrementally so counting never needs a popcount.
-	ops      [][]dfg.OpID
-	opsDirty []bool
-	opCount  []int
+	// opCount[k] = |O(r)| is maintained incrementally so counting never
+	// needs a popcount.
+	opCount []int
 	// lat[k] and area[k] cache Lib.Latency(Kinds[k]) and
 	// Lib.Area(Kinds[k]).
 	lat  []int
@@ -116,12 +112,7 @@ func BuildWithKinds(d *dfg.Graph, lib *model.Library, kinds []model.Kind) (*Grap
 	for ki := range kinds {
 		g.opBits[ki] = bitset.New(n)
 	}
-	g.ops = make([][]dfg.OpID, len(kinds))
-	g.opsDirty = make([]bool, len(kinds))
 	g.opCount = make([]int, len(kinds))
-	for ki := range kinds {
-		g.opsDirty[ki] = true
-	}
 	g.upper = make([]int, n)
 	g.min = make([]int, n)
 	for _, o := range d.Ops() {
@@ -174,19 +165,6 @@ func (g *Graph) CompatKinds(o dfg.OpID) []int { return g.h[o] }
 // Compatible reports whether the H edge {o, kind k} is present.
 func (g *Graph) Compatible(o dfg.OpID, k int) bool { return g.hBits[o].Has(k) }
 
-// CompatOps returns O(r): the operations with an H edge to kind index k,
-// in ID order. The slice must not be modified; it stays valid until the
-// next deletion touching k.
-func (g *Graph) CompatOps(k int) []dfg.OpID {
-	if g.opsDirty[k] {
-		ops := g.ops[k][:0]
-		g.opBits[k].ForEach(func(i int) { ops = append(ops, dfg.OpID(i)) })
-		g.ops[k] = ops
-		g.opsDirty[k] = false
-	}
-	return g.ops[k]
-}
-
 // CompatOpBits returns O(r) as a bit set over operation IDs. The set must
 // not be modified.
 func (g *Graph) CompatOpBits(k int) bitset.Set { return g.opBits[k] }
@@ -210,12 +188,6 @@ func (g *Graph) MinLatency(o dfg.OpID) int { return g.min[o] }
 // retain it across refinement steps.
 func (g *Graph) UpperLatSlice() []int { return g.upper }
 
-// UpperLatencies returns L_o for every operation as a dfg.Latencies.
-func (g *Graph) UpperLatencies() dfg.Latencies {
-	ls := append([]int(nil), g.upper...)
-	return func(id dfg.OpID) int { return ls[id] }
-}
-
 // Reducible reports whether deleting o's maximum-latency H edges would
 // strictly reduce L_o while leaving at least one edge: i.e. o has
 // compatible kinds at two or more distinct latencies.
@@ -238,7 +210,6 @@ func (g *Graph) DeleteMaxLatencyEdges(o dfg.OpID) int {
 			g.hBits[o].Remove(ki)
 			g.opBits[ki].Remove(int(o))
 			g.opCount[ki]--
-			g.opsDirty[ki] = true
 		} else {
 			kept = append(kept, ki)
 		}
@@ -248,21 +219,6 @@ func (g *Graph) DeleteMaxLatencyEdges(o dfg.OpID) int {
 	// Deleted edges all carried the maximum latency and Reducible
 	// guaranteed a strictly smaller one survives, so min is unchanged.
 	g.recomputeBounds(o)
-	return deleted
-}
-
-// FullyRefine drives the graph to the refinement fixpoint: every
-// operation keeps exactly its minimum-latency kinds. Deletions are
-// per-operation independent, so the fixpoint is unique — it is the state
-// any sequence of DeleteMaxLatencyEdges calls converges to once no
-// operation is Reducible. Returns the number of edges deleted.
-func (g *Graph) FullyRefine() int {
-	deleted := 0
-	for o := 0; o < g.D.N(); o++ {
-		for g.Reducible(dfg.OpID(o)) {
-			deleted += g.DeleteMaxLatencyEdges(dfg.OpID(o))
-		}
-	}
 	return deleted
 }
 
@@ -286,12 +242,9 @@ func (g *Graph) Clone() *Graph {
 		c.hBits[i] = g.hBits[i].Clone()
 	}
 	c.opBits = make([]bitset.Set, len(g.opBits))
-	c.ops = make([][]dfg.OpID, len(g.opBits))
-	c.opsDirty = make([]bool, len(g.opBits))
 	c.opCount = append([]int(nil), g.opCount...)
 	for k := range g.opBits {
 		c.opBits[k] = g.opBits[k].Clone()
-		c.opsDirty[k] = true
 	}
 	return c
 }
@@ -310,54 +263,3 @@ func (a Interval) Before(b Interval) bool { return a.End <= b.Start }
 // Overlaps reports whether the two intervals share any control step, i.e.
 // neither C edge direction exists between them.
 func (a Interval) Overlaps(b Interval) bool { return !a.Before(b) && !b.Before(a) }
-
-// MaxChain returns a maximum-cardinality subset of the intervals that is
-// pairwise disjoint — a maximum clique of the transitively oriented
-// subgraph G'(O, C) induced by the given operations. For interval orders
-// this is the classic activity-selection problem: greedily taking the
-// earliest finishing compatible interval is optimal and runs in
-// O(n log n). The input slice is reordered in place.
-func MaxChain(ivs []Interval) []Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sortIntervals(ivs)
-	chain := ivs[:1:1]
-	for _, iv := range ivs[1:] {
-		if chain[len(chain)-1].Before(iv) {
-			chain = append(chain, iv)
-		}
-	}
-	return chain
-}
-
-// IsChain reports whether the intervals are pairwise disjoint, i.e. form a
-// clique of G'(O, C). O(n log n); the input slice is reordered in place.
-func IsChain(ivs []Interval) bool {
-	sortIntervals(ivs)
-	for i := 1; i < len(ivs); i++ {
-		if !ivs[i-1].Before(ivs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sortIntervals orders by end time, breaking ties by start then op ID, so
-// both MaxChain and IsChain are deterministic.
-func sortIntervals(ivs []Interval) {
-	if sort.SliceIsSorted(ivs, func(i, j int) bool { return lessInterval(ivs[i], ivs[j]) }) {
-		return
-	}
-	sort.Slice(ivs, func(i, j int) bool { return lessInterval(ivs[i], ivs[j]) })
-}
-
-func lessInterval(a, b Interval) bool {
-	if a.End != b.End {
-		return a.End < b.End
-	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.Op < b.Op
-}

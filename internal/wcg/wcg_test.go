@@ -59,9 +59,10 @@ func TestCompatOpsAndCompatible(t *testing.T) {
 	if big < 0 {
 		t.Fatal("25x25 kind missing")
 	}
-	ops := g.CompatOps(big)
-	if len(ops) != 2 {
-		t.Fatalf("O(25x25) = %v", ops)
+	var ops []int
+	g.CompatOpBits(big).ForEach(func(o int) { ops = append(ops, o) })
+	if len(ops) != 2 || g.CompatOpCount(big) != 2 {
+		t.Fatalf("O(25x25) = %v, count %d", ops, g.CompatOpCount(big))
 	}
 	if !g.Compatible(1, big) {
 		t.Error("o2 must be compatible with 25x25")
@@ -94,11 +95,11 @@ func TestDeleteMaxLatencyEdges(t *testing.T) {
 	}
 }
 
-func TestUpperLatenciesFunc(t *testing.T) {
+func TestUpperLatSlice(t *testing.T) {
 	_, g := fig2Graph(t)
-	lat := g.UpperLatencies()
-	if lat(0) != 7 || lat(1) != 7 {
-		t.Errorf("upper latencies: %d %d", lat(0), lat(1))
+	lat := g.UpperLatSlice()
+	if len(lat) != 2 || lat[0] != 7 || lat[1] != 7 {
+		t.Errorf("upper latencies: %v", lat)
 	}
 }
 
@@ -138,78 +139,6 @@ func TestIntervalRelations(t *testing.T) {
 	}
 }
 
-func TestMaxChainBasic(t *testing.T) {
-	ivs := []Interval{
-		{Op: 0, Start: 0, End: 3},
-		{Op: 1, Start: 1, End: 2},
-		{Op: 2, Start: 2, End: 5},
-		{Op: 3, Start: 5, End: 6},
-	}
-	chain := MaxChain(ivs)
-	if len(chain) != 3 { // 1, 2, 3
-		t.Fatalf("chain = %v", chain)
-	}
-	if !IsChain(chain) {
-		t.Error("MaxChain result is not a chain")
-	}
-}
-
-func TestMaxChainEmpty(t *testing.T) {
-	if MaxChain(nil) != nil {
-		t.Error("MaxChain(nil) != nil")
-	}
-	if !IsChain(nil) {
-		t.Error("empty set must be a chain")
-	}
-}
-
-// bruteMaxChain finds the true maximum pairwise-disjoint subset by
-// enumeration, for cross-checking the greedy.
-func bruteMaxChain(ivs []Interval) int {
-	best := 0
-	n := len(ivs)
-	for mask := 0; mask < 1<<n; mask++ {
-		var sel []Interval
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sel = append(sel, ivs[i])
-			}
-		}
-		ok := true
-		for i := 0; i < len(sel) && ok; i++ {
-			for j := i + 1; j < len(sel) && ok; j++ {
-				if sel[i].Overlaps(sel[j]) {
-					ok = false
-				}
-			}
-		}
-		if ok && len(sel) > best {
-			best = len(sel)
-		}
-	}
-	return best
-}
-
-func TestMaxChainMatchesBruteForce(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		n := rnd.Intn(12)
-		ivs := make([]Interval, n)
-		for i := range ivs {
-			s := rnd.Intn(10)
-			ivs[i] = Interval{Op: dfg.OpID(i), Start: s, End: s + 1 + rnd.Intn(5)}
-		}
-		want := bruteMaxChain(ivs)
-		got := MaxChain(append([]Interval(nil), ivs...))
-		if len(got) != want {
-			t.Fatalf("greedy chain %d, brute force %d, intervals %v", len(got), want, ivs)
-		}
-		if !IsChain(got) {
-			t.Fatalf("result not a chain: %v", got)
-		}
-	}
-}
-
 // TestTransitiveOrientation checks the paper's §2.1 claim that C is a
 // transitive orientation: if (a,b) and (b,c) are C edges then so is (a,c).
 func TestTransitiveOrientation(t *testing.T) {
@@ -229,12 +158,5 @@ func TestTransitiveOrientation(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestIsChainDetectsOverlap(t *testing.T) {
-	ivs := []Interval{{Op: 0, Start: 0, End: 3}, {Op: 1, Start: 2, End: 4}}
-	if IsChain(ivs) {
-		t.Error("overlapping intervals reported as chain")
 	}
 }
